@@ -53,7 +53,6 @@ from .signals import (
     Waveform,
     fsk_demodulate,
     fsk_modulate,
-    fsk_recover_stream,
     gen_chirp,
     one_bit_quantize,
     xcorr_offset,

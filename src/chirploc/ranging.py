@@ -5,12 +5,18 @@ wake-up at a later known time triggers the tag, which captures a short slice
 of whatever part of the chirp is passing by.  Locating that slice inside the
 reference chirp gives the emission offset, and the gap between elapsed time
 and emission offset is the time of flight.
+
+With a one-bit tag the beacon never hears the audio: the comparator bits
+reach it only as the FSK square wave the tag reflects.  The beacon locates
+the slice with one matched filter that scores that reflection against the
+reflection each window of the reference chirp would produce, at every lag
+at once through a few FFT cross-correlations, then rescores the best lags
+exactly.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -23,12 +29,11 @@ from .signals import (
     ChirpSpec,
     FskConfig,
     fsk_modulate,
-    fsk_recover_stream,
     gen_chirp,
     one_bit_quantize,
     xcorr_offset,
 )
-from .signals import _pearson_window, _sliding_pearson
+from .signals import _pearson_window
 
 __all__ = [
     "RangingTimeline",
@@ -41,6 +46,11 @@ __all__ = [
 ]
 
 MODES = ("ideal-audio", "one-bit-backscatter")
+# Odd harmonics of the square-wave replica that the backscatter scan keeps;
+# the 1st and 3rd carry 90% of its energy.
+HARMONICS = (1, 3)
+# Lags the scan hands to exact rescoring: a margin for the dropped harmonics.
+RESCORED_LAGS = 32
 
 
 @dataclass(frozen=True)
@@ -164,13 +174,19 @@ def simulate_ranging(
 
     In ``ideal-audio`` mode the captured analog window is correlated against
     the reference chirp directly.  In ``one-bit-backscatter`` mode the tag's
-    comparator output toggles the FSK tone pair and the beacon recovers the
-    comparator stream from the reflection, then correlates it against the
-    sign of the reference chirp.  The comparator has no clock of its own, so
-    this leg is modeled at the RF sample rate: transition timing survives at
-    far better than audio-sample resolution, which is what makes the 1-bit
-    stream locatable inside the sweep even where its audio-rate sampling
-    would alias into a periodic pattern.
+    comparator output toggles the FSK tone pair and the beacon matches the
+    reflection it hears against the reflection each window of the reference
+    would produce.  The comparator has no clock of its own, so this leg is
+    modeled at the RF sample rate: transition timing survives at far better
+    than audio-sample resolution, which is what makes the 1-bit stream
+    locatable inside the sweep even where its audio-rate sampling would
+    alias into a periodic pattern.
+
+    Only the part of the chirp a capture can reach is synthesized: the first
+    ``wakeup_delay + capture_duration`` seconds, plus one sample for an
+    interpolated window edge.  Each kept sample, and each noise draw on it,
+    is what the full chirp would give, so the captured window is identical;
+    the lags searched end one sample past the zero-distance lag.
 
     Raises:
         RangeWindowError: if the capture window cannot land fully inside the
@@ -202,10 +218,13 @@ def simulate_ranging(
         rate = fsk.sample_rate
         chirp = dataclasses.replace(chirp, sample_rate=rate)
 
-    reference = gen_chirp(chirp)
+    window = ReceiveWindow(timeline.wakeup_time, timeline.capture_duration, rate)
+    # a tag at zero distance starts its window round(wakeup_delay * rate)
+    # samples into the chirp, and an interpolated window reads one further
+    reach = round(timeline.wakeup_delay * rate) + window.n_samples + 1
+    reference = gen_chirp(chirp, reach)
     tx = dataclasses.replace(reference, t_origin=timeline.chirp_start)
     rx = propagate_acoustic(tx, channel)
-    window = ReceiveWindow(timeline.wakeup_time, timeline.capture_duration, rate)
     captured = sample_window(rx, window, interpolate=channel.interpolate_delays)
 
     if mode == "ideal-audio":
@@ -225,76 +244,48 @@ def _locate_backscatter(reference, captured, fsk: FskConfig,
                         threshold: float) -> tuple[float, float]:
     """Find the capture offset from the FSK reflection of the comparator.
 
-    Acquisition runs on the recovered comparator stream: one sliding
-    normalized correlation against the sign of the reference chirp.  Its
-    margins against carrier-cycle aliases are thin (the comparator stream is
-    locally periodic), so the decision stage matched-filters the received RF
-    waveform against exact reflection replicas built from the reference at
-    the shortlisted lags; a misplaced replica loses carrier phase lock at the
-    first mismatched comparator transition, which separates the true lag
-    decisively.
+    One matched filter scores the received RF stream against the exact
+    reflection replica at every lag.  With ``P`` the carrier phase that
+    ``fsk_modulate`` accumulates over the reference comparator bits, the
+    replica at lag k is the square wave ``sign(frac(P[k+j] - P[k]) < 1/2)``.
+    Its odd harmonics h turn the correlation at all lags into FFT
+    cross-correlations of the stream against ``exp(2 pi i h P)``, each lag
+    then rotated back by its own start phase ``P[k]``.  Every replica is a
+    balanced carrier, so its energy is the window length to within a few
+    samples and the scan ranks lags by correlation alone.  The best lags
+    are rescored exactly through the modulator, so a perfect match scores
+    exactly 1.0 and the truncated series never decides the answer.
     """
     ref_bits = one_bit_quantize(reference, threshold)
     tag_bits = one_bit_quantize(captured, threshold)
     rf = fsk_modulate(tag_bits, fsk)
-    heard = fsk_recover_stream(rf, fsk)
-
-    ref_signs = ref_bits.signs()
-    corr = _sliding_pearson(ref_signs, heard.signs())
-    take = min(256, corr.size)
-    shortlist = np.sort(np.argpartition(corr, -take)[-take:])
-
-    m = len(tag_bits)
     rfz = rf.samples - rf.samples.mean()
     erf2 = float(np.dot(rfz, rfz))
-    tones = np.array([fsk.freq0, fsk.freq1])
-    windows = np.lib.stride_tricks.sliding_window_view(ref_bits.bits, m)
-    cycles_per_sample = tones / fsk.sample_rate
+    n, m = len(ref_bits), len(tag_bits)
+    lags = n - m + 1
 
-    def best_replica(candidates: np.ndarray) -> tuple[int, float]:
-        # Tone sequence per candidate window, carrier phase by cumulative
-        # sum, reflection signs (first half of each cycle is positive, as in
-        # fsk_modulate), then Pearson against the received RF stream.
-        lag, score = 0, -np.inf
-        for start in range(0, candidates.size, 128):
-            chunk = candidates[start:start + 128]
-            cyc = cycles_per_sample[windows[chunk]]
-            phase = np.empty_like(cyc)
-            phase[:, 0] = 0.0
-            np.cumsum(cyc[:, :-1], axis=1, out=phase[:, 1:])
-            rep = np.where(np.mod(phase, 1.0) < 0.5, 1.0, -1.0)
-            repz = rep - rep.mean(axis=1, keepdims=True)
-            energy = np.einsum("ij,ij->i", repz, repz)
-            scores = (repz @ rfz) / np.sqrt(energy * erf2)
-            i = int(np.argmax(scores))
-            if scores[i] > score:
-                score, lag = float(scores[i]), int(chunk[i])
-        return lag, score
+    # one comparator bit per RF sample, so phase[j] is the carrier phase
+    # fsk_modulate reaches at sample j of the reference
+    cycles = np.where(ref_bits.bits, fsk.freq1, fsk.freq0) / fsk.sample_rate
+    phase = np.concatenate(([0.0], np.cumsum(cycles[:-1])))
+    # circular correlation over size >= n never wraps a window that fits
+    size = 1 << (n - 1).bit_length()
+    rf_spec = np.conj(np.fft.fft(rfz, size))
+    score = np.zeros(lags)
+    for h in HARMONICS:
+        tone = np.exp(2j * np.pi * h * phase)
+        corr = np.fft.ifft(np.fft.fft(tone, size) * rf_spec)[:lags]
+        # the square wave is 4/pi times the sum of sin(2 pi h theta) / h
+        score += (np.conj(tone[:lags]) * corr).imag / h
 
-    def exact_score(k: int) -> float:
-        # recompute through the modulator so a perfect match is exactly 1.0
-        rep = fsk_modulate(BitStream(ref_bits.bits[k:k + m], ref_bits.bit_rate), fsk)
-        return _pearson_window(rep.samples, 0, rfz, erf2)
-
-    best_lag, _ = best_replica(shortlist)
-    best_score = exact_score(best_lag)
-    # A clean lock can only come from the right window: any other candidate
-    # window disagrees on dozens of samples, which costs far more than this
-    # margin.  A lower score means the shortlist may have locked a few audio
-    # periods off (the comparator stream is locally periodic there), so sweep
-    # the neighbourhood exhaustively.  The longest constant run in the
-    # reference stream is half the slowest audio period.
-    if best_score < 0.995:
-        flips = np.flatnonzero(np.diff(ref_bits.bits)) + 1
-        runs = np.diff(np.concatenate(([0], flips, [ref_bits.bits.size])))
-        span = int(round(4.4 * runs.max()))
-        lo = max(0, best_lag - span)
-        hi = min(corr.size, best_lag + span + 1)
-        swept_lag, _ = best_replica(np.arange(lo, hi))
-        if swept_lag != best_lag:
-            swept = exact_score(swept_lag)
-            if swept > best_score:
-                best_lag, best_score = swept_lag, swept
+    take = min(RESCORED_LAGS, lags)
+    best_lag, best_score = 0, -np.inf
+    for k in np.sort(np.argpartition(score, -take)[-take:]):
+        # through the modulator, so a perfect match is exactly 1.0
+        bits = BitStream(ref_bits.bits[k:k + m], ref_bits.bit_rate)
+        exact = _pearson_window(fsk_modulate(bits, fsk).samples, 0, rfz, erf2)
+        if exact > best_score:
+            best_lag, best_score = int(k), exact
     return best_lag / ref_bits.bit_rate, best_score
 
 

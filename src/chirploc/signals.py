@@ -21,7 +21,6 @@ __all__ = [
     "one_bit_quantize",
     "fsk_modulate",
     "fsk_demodulate",
-    "fsk_recover_stream",
     "xcorr_offset",
 ]
 
@@ -158,14 +157,20 @@ class FskConfig:
             )
 
 
-def gen_chirp(spec: ChirpSpec) -> Waveform:
+def gen_chirp(spec: ChirpSpec, n_samples: int | None = None) -> Waveform:
     """Synthesize a linear up-chirp.
 
-    Returns round(duration * sample_rate) samples with t_origin = 0.  The
+    Returns round(duration * sample_rate) samples with t_origin = 0, or only
+    the first ``n_samples`` of them; the sweep rate always follows the full
+    duration, so a shortened chirp is an exact prefix of the full one.  The
     instantaneous frequency sweeps linearly from f_start to f_stop over the
     duration; a zero-bandwidth spec yields a pure tone.
     """
     n = spec.n_samples
+    if n_samples is not None:
+        if n_samples < 0:
+            raise ParameterError(f"n_samples must be >= 0, got {n_samples}")
+        n = min(n, n_samples)
     t = np.arange(n) / spec.sample_rate
     rate = (spec.f_stop - spec.f_start) / spec.duration
     phase = 2.0 * np.pi * (spec.f_start * t + 0.5 * rate * t * t)
@@ -261,40 +266,6 @@ def fsk_demodulate(wave: Waveform, cfg: FskConfig, bit_rate: float) -> BitStream
             energies.append(i_corr * i_corr + q_corr * q_corr)
         bits[i] = 1 if energies[1] > energies[0] else 0
     return BitStream(bits, bit_rate)
-
-
-def fsk_recover_stream(wave: Waveform, cfg: FskConfig,
-                       cycles: float = 4.0) -> BitStream:
-    """Recover the comparator stream behind an FSK reflection, per sample.
-
-    The tag's comparator drives the tone multiplexer asynchronously, so
-    transition timing far finer than any symbol clock survives in the
-    reflection.  A sliding quadrature discriminator (window spanning
-    ``cycles`` periods of the slower tone, centred on each sample) scores
-    both tones everywhere; the louder tone gives the decision.  The output
-    bit rate equals the waveform sample rate.
-
-    Transitions blur by roughly half the discriminator window; interior
-    decisions are reliable, the first and last half-window less so.
-    """
-    n = len(wave)
-    if n == 0:
-        return BitStream(np.zeros(0, dtype=np.uint8), cfg.sample_rate)
-    if not cycles > 0:
-        raise ParameterError(f"cycles must be positive, got {cycles}")
-    slow = min(cfg.freq0, cfg.freq1)
-    win = max(2, int(round(cycles * cfg.sample_rate / slow)))
-    win = min(win, n)
-    t = np.arange(n) / cfg.sample_rate
-    kernel = np.ones(win)
-    energies = []
-    for f in (cfg.freq0, cfg.freq1):
-        arg = 2.0 * np.pi * f * t
-        i_corr = np.convolve(wave.samples * np.cos(arg), kernel, mode="same")
-        q_corr = np.convolve(wave.samples * np.sin(arg), kernel, mode="same")
-        energies.append(i_corr * i_corr + q_corr * q_corr)
-    return BitStream((energies[1] > energies[0]).astype(np.uint8),
-                     cfg.sample_rate)
 
 
 def _as_series(x: Waveform | BitStream) -> tuple[np.ndarray, float]:

@@ -1,5 +1,6 @@
 """End-to-end ranging pipeline and least-squares position solving."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -7,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chirploc.ranging as ranging
 from chirploc import (
     AcousticChannel,
     BeaconSet,
+    BitStream,
     ChirpSpec,
     ConvergenceError,
     FskConfig,
@@ -17,7 +20,13 @@ from chirploc import (
     ParameterError,
     RangeWindowError,
     RangingTimeline,
+    ReceiveWindow,
     estimate_distance,
+    fsk_modulate,
+    gen_chirp,
+    one_bit_quantize,
+    propagate_acoustic,
+    sample_window,
     simulate_ranging,
     trilaterate,
 )
@@ -308,3 +317,96 @@ def test_full_pipeline_position_fix():
         est.append(r.distance)
     fix = trilaterate(SQUARE_2D, np.array(est))
     assert np.linalg.norm(fix.coordinates - truth) < 0.01
+
+
+# ------------------------------------------- backscatter locator vs oracles
+
+def _captured_full_chirp(chirp, channel, timeline, rate):
+    """The capture window cut from the whole chirp, never shortened."""
+    spec = dataclasses.replace(chirp, sample_rate=rate)
+    tx = dataclasses.replace(gen_chirp(spec), t_origin=timeline.chirp_start)
+    window = ReceiveWindow(timeline.wakeup_time, timeline.capture_duration, rate)
+    return sample_window(propagate_acoustic(tx, channel), window,
+                         interpolate=channel.interpolate_delays)
+
+
+ECHO = ((5e-4, 0.5),)
+# wakes 0.3 RF samples off the sample grid, so an interpolated window at zero
+# distance reads one sample past round(wakeup_delay * rate) + its length
+OFF_GRID_TIMELINE = RangingTimeline(chirp_start=0.0, wakeup_time=0.02000003,
+                                    capture_duration=0.001)
+
+
+@pytest.mark.parametrize("timeline, distance", [
+    (TIMELINE, 0.0), (TIMELINE, TIMELINE.max_distance(C)),
+    (OFF_GRID_TIMELINE, 0.0),
+], ids=["zero", "max", "zero-off-grid"])
+@pytest.mark.parametrize("channel_kw", [
+    {},
+    {"noise_std": 0.05, "rng_seed": 3},
+    {"multipath": ECHO},
+    {"multipath": ECHO, "interpolate_delays": True},
+    {"noise_std": 0.05, "rng_seed": 4, "multipath": ECHO,
+     "interpolate_delays": True},
+], ids=["plain", "noise", "echo", "echo-interpolated",
+        "noise-echo-interpolated"])
+def test_shortened_reference_captures_the_same_window(monkeypatch, timeline,
+                                                      distance, channel_kw):
+    captured = []
+
+    def recording_sample_window(*args, **kwargs):
+        captured.append(sample_window(*args, **kwargs))
+        return captured[-1]
+
+    monkeypatch.setattr(ranging, "sample_window", recording_sample_window)
+    ch = AcousticChannel(distance=distance, **channel_kw)
+    simulate_ranging(CHIRP, ch, timeline, mode="one-bit-backscatter", fsk=FSK)
+    full = _captured_full_chirp(CHIRP, ch, timeline, FSK.sample_rate)
+    assert captured[0].t_origin == full.t_origin
+    assert np.array_equal(captured[0].samples, full.samples)
+
+
+# A short chirp, wake-up and capture keep the exhaustive oracle cheap.
+SHORT_CHIRP = ChirpSpec(20e3, 40e3, 0.005, FS)
+SHORT_TIMELINE = RangingTimeline(chirp_start=0.0, wakeup_time=0.0005,
+                                 capture_duration=0.0001)
+
+
+@pytest.fixture(scope="module")
+def short_replicas():
+    """The exact reflection replica at every lag the locator searches.
+
+    The search ends one sample past the zero-distance lag; each replica goes
+    through ``fsk_modulate`` on its own, with no shared phase.
+    """
+    rate = FSK.sample_rate
+    spec = dataclasses.replace(SHORT_CHIRP, sample_rate=rate)
+    ref_bits = one_bit_quantize(gen_chirp(spec)).bits
+    m = int(round(SHORT_TIMELINE.capture_duration * rate))
+    lags = int(round(SHORT_TIMELINE.wakeup_delay * rate)) + 2
+    replicas = np.array([
+        fsk_modulate(BitStream(ref_bits[k:k + m], rate), FSK).samples
+        for k in range(lags)])
+    return replicas - replicas.mean(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("distance, interpolate", [
+    *((float(d), False)
+      for d in np.linspace(0.0, SHORT_TIMELINE.max_distance(C), 9)),
+    (0.0417, True), (0.1033, True), (0.1495, True),
+])
+def test_backscatter_locator_matches_exhaustive_replica_oracle(
+        short_replicas, distance, interpolate):
+    rate = FSK.sample_rate
+    ch = AcousticChannel(distance=distance, interpolate_delays=interpolate)
+    r = simulate_ranging(SHORT_CHIRP, ch, SHORT_TIMELINE,
+                         mode="one-bit-backscatter", fsk=FSK)
+
+    window = _captured_full_chirp(SHORT_CHIRP, ch, SHORT_TIMELINE, rate)
+    rf = fsk_modulate(one_bit_quantize(window), FSK).samples
+    rfz = rf - rf.mean()
+    scores = (short_replicas @ rfz) / np.sqrt(
+        np.einsum("ij,ij->i", short_replicas, short_replicas) * (rfz @ rfz))
+    lag = int(round(r.lag * rate))
+    assert lag == int(np.argmax(scores))
+    assert r.peak == pytest.approx(scores[lag], abs=1e-12)

@@ -105,6 +105,26 @@ def test_chirp_spec_rejects_bad_parameters(kwargs):
         ChirpSpec(**kwargs)
 
 
+@pytest.mark.parametrize("n", [0, 1, 4033, 9599, 9600, 20000])
+def test_shortened_chirp_is_exact_prefix(n):
+    full = gen_chirp(DEFAULT_CHIRP).samples
+    short = gen_chirp(DEFAULT_CHIRP, n)
+    assert len(short) == min(n, full.size)
+    assert np.array_equal(short.samples, full[:n])
+
+
+def test_shortened_chirp_is_exact_prefix_at_rf_rate():
+    # the one-bit path synthesizes wakeup + capture of the chirp at 10 MHz
+    rf_spec = ChirpSpec(20e3, 40e3, 0.050, 1e7)
+    assert np.array_equal(gen_chirp(rf_spec, 210001).samples,
+                          gen_chirp(rf_spec).samples[:210001])
+
+
+def test_shortened_chirp_rejects_negative_count():
+    with pytest.raises(ParameterError):
+        gen_chirp(DEFAULT_CHIRP, -1)
+
+
 # ---------------------------------------------------------- one_bit_quantize
 
 def test_quantize_all_zero_is_all_ones():
