@@ -240,6 +240,13 @@ def simulate_ranging(
     )
 
 
+def _fft_size(n: int) -> int:
+    """Smallest 5-smooth length >= n: numpy's FFT is fast on those."""
+    odd = (3 ** j * 5 ** k for j in range(n.bit_length())
+           for k in range(n.bit_length()))
+    return min(p << (-(-n // p) - 1).bit_length() for p in odd)
+
+
 def _locate_backscatter(reference, captured, fsk: FskConfig,
                         threshold: float) -> tuple[float, float]:
     """Find the capture offset from the FSK reflection of the comparator.
@@ -269,7 +276,7 @@ def _locate_backscatter(reference, captured, fsk: FskConfig,
     cycles = np.where(ref_bits.bits, fsk.freq1, fsk.freq0) / fsk.sample_rate
     phase = np.concatenate(([0.0], np.cumsum(cycles[:-1])))
     # circular correlation over size >= n never wraps a window that fits
-    size = 1 << (n - 1).bit_length()
+    size = _fft_size(n)
     rf_spec = np.conj(np.fft.fft(rfz, size))
     score = np.zeros(lags)
     for h in HARMONICS:

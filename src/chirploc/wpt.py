@@ -89,10 +89,9 @@ class ArraySpec:
             )
         if not self.spacing > 0:
             raise ParameterError(f"spacing must be positive, got {self.spacing}")
-        for name in ("steer_angle",):
-            v = getattr(self, name)
-            if not -90.0 <= v <= 90.0:
-                raise ParameterError(f"{name} must be in [-90, 90], got {v}")
+        if not -90.0 <= self.steer_angle <= 90.0:
+            raise ParameterError(
+                f"steer_angle must be in [-90, 90], got {self.steer_angle}")
 
 
 @dataclass(frozen=True)
@@ -186,7 +185,6 @@ def beam_sweep_precharge(
     link: RfLink,
     harvester: HarvesterSpec,
     capacitance: float,
-    integrator_step: float | None = None,
 ) -> float:
     """Wall-clock seconds for a sweeping beam to fill an empty capacitor.
 
@@ -196,9 +194,11 @@ def beam_sweep_precharge(
     dwell charges with the array gain toward the tag for that steering.
     The link's own g_t is replaced by the array gain here.
 
+    Whole sweeps are counted in one product and only the last is walked
+    steer by steer, so the cost does not depend on ``dwell``.  A target of
+    exactly k sweeps (to 1e-12) ends at the last powered steer of sweep k.
+
     Returns infinity when no steering direction can power the tag at all.
-    ``integrator_step`` switches from exact per-dwell accumulation to a
-    fixed-step energy integrator (useful for cross-checks).
     """
     if not dwell > 0:
         raise ParameterError(f"dwell must be positive, got {dwell}")
@@ -219,27 +219,18 @@ def beam_sweep_precharge(
     if max(powers) == 0.0:
         return math.inf
 
-    energy = 0.0
-    radiated = 0.0
-    dwell_idx = 0
-    while energy < target:
-        p = powers[dwell_idx % len(powers)]
-        if integrator_step is None:
-            if p > 0 and energy + p * dwell >= target:
-                radiated += (target - energy) / p
-                energy = target
-            else:
-                energy += p * dwell
-                radiated += dwell
-        else:
-            t_in_dwell = 0.0
-            while t_in_dwell < dwell and energy < target:
-                dt = min(integrator_step, dwell - t_in_dwell)
-                energy += p * dt
-                radiated += dt
-                t_in_dwell += dt
-        dwell_idx += 1
-    return radiated / link.duty_cycle
+    per_sweep = dwell * sum(powers)
+    try:  # the margin keeps a k-sweep target from rounding into sweep k+1
+        full = math.ceil(target / per_sweep * (1.0 - 1e-12)) - 1
+    except (ZeroDivisionError, OverflowError):
+        raise ParameterError(f"dwell {dwell} s is too short") from None
+    energy, radiated = full * per_sweep, full * len(angles) * dwell
+    last = max(i for i, p in enumerate(powers) if p > 0)
+    for i, p in enumerate(powers):
+        if p > 0 and (energy + p * dwell >= target or i == last):
+            return (radiated + (target - energy) / p) / link.duty_cycle
+        energy += p * dwell
+        radiated += dwell
 
 
 def update_rate(charge_s: float, duty_cycle: float,

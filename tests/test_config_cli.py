@@ -323,6 +323,19 @@ def test_sweep_table(capsys):
         assert times[(angle, 8)] > times[(angle, 1)]
 
 
+def test_sweep_default_cells_are_pinned_digit_for_digit(capsys):
+    # every digit is pinned: a changed summation order in the sweep
+    # accounting would show here first
+    code, out, _ = run_cli(capsys, "sweep")
+    assert code == 0
+    _, _, rows = parse_csv(out)
+    assert [r[2] for r in rows] == [
+        "276.9217320390081", "145.56223986864958", "20.470876838290852",
+        "276.9217320390081", "295.20718939306903", "287.40542001555593",
+        "276.9217320390081", "314.8972503036568", "309.4027196821003",
+    ]
+
+
 def test_sweep_runtime_error_exits_three(capsys):
     code, _, err = run_cli(capsys, "sweep", "--set", "sweep.step_deg=0")
     assert code == 3

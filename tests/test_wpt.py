@@ -1,6 +1,7 @@
 """RF link budget, charge timing, array steering, and beam sweeps."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -16,12 +17,16 @@ from chirploc import (
     RfLink,
     array_factor,
     beam_sweep_precharge,
+    buffer_energy,
     charge_time,
     default_efficiency_curve,
     friis_received_power,
     harvest_power,
+    harvester_output,
     update_rate,
 )
+from chirploc.cli import main
+from chirploc.config import load_config
 
 HARVESTER = HarvesterSpec()
 WAVELENGTH = C_LIGHT / 869.5e6
@@ -193,6 +198,53 @@ def test_array_spec_validation(kwargs):
 
 SWEEP_KW = dict(dwell=1.0, step=10.0, link=RfLink(distance=4.5),
                 harvester=HARVESTER, capacitance=6.8e-5)
+TARGET = buffer_energy(6.8e-5, HARVESTER.v_chrdy, 0.0)
+
+
+def steer_powers(array: ArraySpec, tag: float, link: RfLink = RfLink(4.5),
+                 harvester: HarvesterSpec = HARVESTER,
+                 step: float = 10.0) -> list[float]:
+    """DC watts the tag harvests at each steering of one sweep."""
+    path = 20.0 * math.log10(4.0 * math.pi * link.distance / link.wavelength)
+    powers = []
+    for steer in np.arange(-90.0, 90.0 + step / 2, step):
+        gain = array_factor(ArraySpec(array.n_elements, array.spacing,
+                                      array.element_gain, float(steer)), tag)
+        p_in = link.p_t + gain + link.g_r - path
+        powers.append(harvester_output(p_in, harvester)
+                      if math.isfinite(p_in) else 0.0)
+    return powers
+
+
+def walked_precharge(powers, dwell, target, duty=0.10):
+    """Oracle: walk the schedule one dwell at a time, finishing inside the
+    first powered dwell whose energy reaches the target."""
+    energy, radiated, i = 0.0, 0.0, 0
+    while energy < target:
+        p = powers[i % len(powers)]
+        if p > 0 and energy + p * dwell >= target:
+            radiated += (target - energy) / p
+            energy = target
+        else:
+            energy += p * dwell
+            radiated += dwell
+        i += 1
+    return radiated / duty
+
+
+def stepped_precharge(powers, dwell, target, step, duty=0.10):
+    """Oracle: integrate the schedule in fixed ``step`` radiated seconds."""
+    energy, radiated, i = 0.0, 0.0, 0
+    while energy < target:
+        p = powers[i % len(powers)]
+        t_in = 0.0
+        while t_in < dwell and energy < target:
+            dt = min(step, dwell - t_in)
+            energy += p * dt
+            radiated += dt
+            t_in += dt
+        i += 1
+    return radiated / duty
 
 
 def test_single_element_sweep_equals_steady_charge():
@@ -229,9 +281,56 @@ def test_more_elements_reach_farther():
 
 def test_sweep_event_accumulation_matches_stepped_integrator():
     exact = beam_sweep_precharge(ArraySpec(4), 25.0, **SWEEP_KW)
-    stepped = beam_sweep_precharge(ArraySpec(4), 25.0, integrator_step=1e-3,
-                                   **SWEEP_KW)
+    stepped = stepped_precharge(steer_powers(ArraySpec(4), 25.0), 1.0,
+                                TARGET, 1e-3)
     assert stepped == pytest.approx(exact, rel=1e-4)
+
+
+@pytest.mark.parametrize("dwell", [1.0, 1e-3, 1e-4])
+@pytest.mark.parametrize("tag", [-90.0, 0.0, 25.0, 60.0])
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
+def test_closed_form_sweep_matches_the_walk(n, tag, dwell):
+    kw = dict(SWEEP_KW, dwell=dwell)
+    got = beam_sweep_precharge(ArraySpec(n), tag, **kw)
+    want = walked_precharge(steer_powers(ArraySpec(n), tag), dwell, TARGET)
+    assert got == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("tag", [-90.0, -30.0, 0.0, 25.0, 60.0])
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
+def test_whole_sweep_target_ends_at_the_last_powered_steer(n, tag):
+    # a capacitor that holds exactly k sweeps of energy is full at the last
+    # powered steer of sweep k: not after the dark steers that follow it
+    # (rounding can leave a per-dwell sum a hair short), and not past the end
+    # of the partial sweep
+    powers = steer_powers(ArraySpec(n), tag)
+    last = max(i for i, p in enumerate(powers) if p > 0)
+    for k in range(1, 60):
+        cap = 2.0 * k * sum(powers) / HARVESTER.v_chrdy ** 2
+        t = beam_sweep_precharge(ArraySpec(n), tag,
+                                 **dict(SWEEP_KW, capacitance=cap))
+        want = ((k - 1) * len(powers) + last + 1) / 0.10
+        assert t == pytest.approx(want, rel=1e-9), k
+
+
+def test_nanosecond_dwell_sweep_is_fast_at_the_continuous_limit(tmp_path):
+    out = tmp_path / "sweep.csv"
+    start = time.perf_counter()
+    code = main(["sweep", "--set", "sweep.dwell_s=1e-9", "--out", str(out)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    cfg = load_config()
+    s = cfg.resolved["sweep"]
+    link = cfg.link_at(s["distance_m"])
+    target = buffer_energy(cfg.capacitance, cfg.harvester.v_chrdy, 0.0)
+    rows = [ln.split(",") for ln in out.read_text().splitlines()
+            if ln and not ln.startswith("#")][1:]
+    assert len(rows) == 9
+    for angle, n, t in rows:
+        powers = steer_powers(cfg.sweep_array(int(n)), float(angle), link,
+                              cfg.harvester, s["step_deg"])
+        limit = target * len(powers) / sum(powers) / link.duty_cycle
+        assert float(t) == pytest.approx(limit, rel=1e-6)
 
 
 def test_sweep_replay_oracle():
@@ -259,20 +358,17 @@ def test_sweep_replay_oracle():
 
     angles = np.arange(-90.0, 90.0 + step / 2, step)
     powers = [dc_power(float(a)) for a in angles]
-    energy, radiated, i = 0.0, 0.0, 0
-    while energy < target:
-        p = powers[i % len(powers)]
-        t_in = 0.0
-        while t_in < dwell and energy < target:
-            dt = min(1e-3, dwell - t_in)
-            energy += p * dt
-            radiated += dt
-            t_in += dt
-        i += 1
-    replayed = radiated / 0.10
+    replayed = stepped_precharge(powers, dwell, target, 1e-3)
 
     t = beam_sweep_precharge(ArraySpec(4), tag, **SWEEP_KW)
     assert t == pytest.approx(replayed, rel=1e-3)
+
+
+def test_sweep_rejects_a_dwell_too_short_to_count():
+    for dwell in (5e-324, 1e-315):
+        with pytest.raises(ParameterError, match="too short"):
+            beam_sweep_precharge(ArraySpec(4), 0.0,
+                                 **dict(SWEEP_KW, dwell=dwell))
 
 
 def test_sweep_validation():
