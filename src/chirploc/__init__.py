@@ -15,7 +15,6 @@ from .channel import (
     sample_window,
 )
 from .energy import (
-    CapacitorState,
     ComponentPower,
     HarvesterSpec,
     StartupPlan,
@@ -42,7 +41,6 @@ from .ranging import (
     PositionFix,
     RangingResult,
     RangingTimeline,
-    estimate_distance,
     simulate_ranging,
     trilaterate,
 )
@@ -51,7 +49,6 @@ from .signals import (
     ChirpSpec,
     FskConfig,
     Waveform,
-    fsk_demodulate,
     fsk_modulate,
     gen_chirp,
     one_bit_quantize,

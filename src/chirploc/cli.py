@@ -138,8 +138,7 @@ def cmd_update_rate(cfg: ScenarioConfig) -> ResultTable:
         for scenario in _scenarios(cfg):
             t = charge_time(cfg.capacitance, scenario, p)
             per_update = t / duty + cfg.measurement_overhead
-            rate = 0.0 if per_update == float("inf") else update_rate(
-                t, duty, cfg.measurement_overhead)
+            rate = update_rate(t, duty, cfg.measurement_overhead)
             table.add(float(d), scenario.kind, t, duty, rate, per_update)
     return table
 

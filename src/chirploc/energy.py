@@ -23,7 +23,6 @@ __all__ = [
     "ComponentPower",
     "StartupPlan",
     "HarvesterSpec",
-    "CapacitorState",
     "tag_energy",
     "min_capacitance",
     "buffer_energy",
@@ -177,26 +176,6 @@ class HarvesterSpec:
         object.__setattr__(self, "efficiency_curve", curve)
 
 
-@dataclass
-class CapacitorState:
-    """Storage capacitor with its instantaneous voltage."""
-
-    capacitance: float
-    voltage: float = 0.0
-
-    def __post_init__(self):
-        if not self.capacitance > 0:
-            raise ParameterError(
-                f"capacitance must be positive, got {self.capacitance}"
-            )
-        if self.voltage < 0:
-            raise ParameterError(f"voltage must be >= 0, got {self.voltage}")
-
-    @property
-    def energy(self) -> float:
-        return 0.5 * self.capacitance * self.voltage**2
-
-
 def buffer_energy(capacitance: float, v_high: float, v_low: float) -> float:
     """Energy released by a capacitor discharging from v_high to v_low."""
     if not capacitance > 0:
@@ -257,25 +236,13 @@ def load_component_table(path: str | Path) -> tuple[ComponentPower, ...]:
 
 
 def _parse_component_rows(fh) -> tuple[ComponentPower, ...]:
-    rows = [r for r in csv.reader(_strip_comments(fh)) if r]
-    if not rows or [c.strip() for c in rows[0]] != [
-        "name", "power_w", "turn_on_time_s", "count",
-    ]:
-        raise ParameterError(
-            "component table must start with header "
-            "'name,power_w,turn_on_time_s,count'"
-        )
-    comps = []
-    for row in rows[1:]:
-        if len(row) != 4:
-            raise ParameterError(f"bad component row: {row}")
-        comps.append(ComponentPower(
-            name=row[0].strip(),
-            power=float(row[1]),
-            turn_on_time=float(row[2]),
-            count=int(row[3]),
-        ))
-    return tuple(comps)
+    rows = _read_rows(fh, "component table",
+                      ("name", "power_w", "turn_on_time_s", "count"))
+    return tuple(
+        ComponentPower(name=name.strip(), power=float(power),
+                       turn_on_time=float(turn_on), count=int(count))
+        for name, power, turn_on, count in rows
+    )
 
 
 def load_efficiency_curve(path: str | Path) -> tuple[tuple[float, float], ...]:
@@ -285,30 +252,31 @@ def load_efficiency_curve(path: str | Path) -> tuple[tuple[float, float], ...]:
 
 
 def _parse_curve_rows(fh) -> tuple[tuple[float, float], ...]:
-    rows = [r for r in csv.reader(_strip_comments(fh)) if r]
-    if not rows or [c.strip() for c in rows[0]] != ["p_in_dbm", "efficiency"]:
+    rows = _read_rows(fh, "efficiency curve", ("p_in_dbm", "efficiency"))
+    return tuple((float(p), float(eta)) for p, eta in rows)
+
+
+def _read_rows(lines, what: str, header: tuple[str, ...]) -> list[list[str]]:
+    """The data rows of a CSV whose ``#`` lines are comments.
+
+    The first row must be ``header`` and every data row as wide as it.
+    """
+    rows = [r for r in csv.reader(
+        line for line in lines if not line.lstrip().startswith("#")) if r]
+    if not rows or [c.strip() for c in rows[0]] != list(header):
         raise ParameterError(
-            "efficiency curve must start with header 'p_in_dbm,efficiency'"
-        )
-    points = []
+            f"{what} must start with header '{','.join(header)}'")
     for row in rows[1:]:
-        if len(row) != 2:
-            raise ParameterError(f"bad curve row: {row}")
-        points.append((float(row[0]), float(row[1])))
-    return tuple(points)
-
-
-def _strip_comments(fh):
-    for line in fh:
-        if not line.lstrip().startswith("#"):
-            yield line
+        if len(row) != len(header):
+            raise ParameterError(f"bad {what} row: {row}")
+    return rows[1:]
 
 
 @lru_cache(maxsize=1)
 def default_components() -> tuple[ComponentPower, ...]:
     """The built-in receive-chain component table."""
     text = resources.files("chirploc.data").joinpath("tag_components.csv").read_text()
-    return _parse_component_rows(iter(text.splitlines(keepends=True)))
+    return _parse_component_rows(text.splitlines(keepends=True))
 
 
 @lru_cache(maxsize=1)
@@ -316,7 +284,7 @@ def default_efficiency_curve() -> tuple[tuple[float, float], ...]:
     """The built-in calibrated harvester efficiency curve."""
     text = resources.files("chirploc.data").joinpath(
         "harvester_efficiency.csv").read_text()
-    return _parse_curve_rows(iter(text.splitlines(keepends=True)))
+    return _parse_curve_rows(text.splitlines(keepends=True))
 
 
 def default_harvester() -> HarvesterSpec:

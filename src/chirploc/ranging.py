@@ -17,7 +17,6 @@ exactly.
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,12 +27,13 @@ from .signals import (
     BitStream,
     ChirpSpec,
     FskConfig,
+    fft_size,
     fsk_modulate,
     gen_chirp,
     one_bit_quantize,
+    pearson_window,
     xcorr_offset,
 )
-from .signals import _pearson_window
 
 __all__ = [
     "RangingTimeline",
@@ -41,7 +41,6 @@ __all__ = [
     "BeaconSet",
     "PositionFix",
     "simulate_ranging",
-    "estimate_distance",
     "trilaterate",
 ]
 
@@ -97,7 +96,11 @@ class RangingTimeline:
 
 @dataclass(frozen=True)
 class RangingResult:
-    """Outcome of one simulated exchange."""
+    """Outcome of one simulated exchange.
+
+    ``clamped`` is set when the lag exceeds the wake-up delay, which would
+    mean a negative distance; ``distance`` and ``tof`` are then 0.
+    """
 
     lag: float
     peak: float
@@ -136,30 +139,6 @@ class PositionFix:
     coordinates: np.ndarray
     residual_rms: float
     iterations: int
-
-
-def estimate_distance(lag: float, timeline: RangingTimeline,
-                      speed_of_sound: float) -> float:
-    """Convert a correlation lag into a distance.
-
-    The sample heard at wake-up left the beacon ``lag`` seconds into the
-    chirp, so the flight time is (wakeup_delay - lag).  A lag larger than the
-    wake-up delay would mean negative distance; the result clamps to zero and
-    a warning is emitted.
-    """
-    if lag < 0:
-        raise ParameterError(f"lag must be >= 0, got {lag}")
-    if not speed_of_sound > 0:
-        raise ParameterError(f"speed_of_sound must be positive, got {speed_of_sound}")
-    raw = speed_of_sound * (timeline.wakeup_delay - lag)
-    if raw < 0:
-        warnings.warn(
-            f"lag {lag:.6g} s exceeds the wake-up delay "
-            f"{timeline.wakeup_delay:.6g} s; clamping distance to 0",
-            stacklevel=2,
-        )
-        return 0.0
-    return raw
 
 
 def simulate_ranging(
@@ -232,19 +211,14 @@ def simulate_ranging(
     else:
         lag, peak = _locate_backscatter(reference, captured, fsk, threshold)
 
+    # the sample heard at wake-up left the beacon ``lag`` seconds into the
+    # chirp, so the flight time is wakeup_delay - lag
     raw = c * (timeline.wakeup_delay - lag)
     clamped = raw < 0
     distance = max(raw, 0.0)
     return RangingResult(
         lag=lag, peak=peak, tof=distance / c, distance=distance, clamped=clamped
     )
-
-
-def _fft_size(n: int) -> int:
-    """Smallest 5-smooth length >= n: numpy's FFT is fast on those."""
-    odd = (3 ** j * 5 ** k for j in range(n.bit_length())
-           for k in range(n.bit_length()))
-    return min(p << (-(-n // p) - 1).bit_length() for p in odd)
 
 
 def _locate_backscatter(reference, captured, fsk: FskConfig,
@@ -276,7 +250,7 @@ def _locate_backscatter(reference, captured, fsk: FskConfig,
     cycles = np.where(ref_bits.bits, fsk.freq1, fsk.freq0) / fsk.sample_rate
     phase = np.concatenate(([0.0], np.cumsum(cycles[:-1])))
     # circular correlation over size >= n never wraps a window that fits
-    size = _fft_size(n)
+    size = fft_size(n)
     rf_spec = np.conj(np.fft.fft(rfz, size))
     score = np.zeros(lags)
     for h in HARMONICS:
@@ -290,7 +264,7 @@ def _locate_backscatter(reference, captured, fsk: FskConfig,
     for k in np.sort(np.argpartition(score, -take)[-take:]):
         # through the modulator, so a perfect match is exactly 1.0
         bits = BitStream(ref_bits.bits[k:k + m], ref_bits.bit_rate)
-        exact = _pearson_window(fsk_modulate(bits, fsk).samples, 0, rfz, erf2)
+        exact = pearson_window(fsk_modulate(bits, fsk).samples, 0, rfz, erf2)
         if exact > best_score:
             best_lag, best_score = int(k), exact
     return best_lag / ref_bits.bit_rate, best_score

@@ -1,4 +1,5 @@
-"""Chirp synthesis, one-bit quantization, square-wave FSK, and lag estimation.
+"""Chirp synthesis, one-bit quantization, the square-wave FSK modulator, and
+the lag search that locates one ``Waveform`` inside another.
 
 Everything here is a pure function of its arguments; no global state, no RNG.
 """
@@ -20,7 +21,6 @@ __all__ = [
     "gen_chirp",
     "one_bit_quantize",
     "fsk_modulate",
-    "fsk_demodulate",
     "xcorr_offset",
 ]
 
@@ -91,14 +91,6 @@ class Waveform:
     def __len__(self) -> int:
         return self.samples.size
 
-    @property
-    def duration(self) -> float:
-        return self.samples.size / self.sample_rate
-
-    @property
-    def t_end(self) -> float:
-        return self.t_origin + self.duration
-
 
 @dataclass(frozen=True)
 class BitStream:
@@ -119,10 +111,6 @@ class BitStream:
 
     def __len__(self) -> int:
         return self.bits.size
-
-    def signs(self) -> np.ndarray:
-        """Map bits to a +/-1 float sequence (0 -> -1, 1 -> +1)."""
-        return self.bits.astype(np.float64) * 2.0 - 1.0
 
 
 @dataclass(frozen=True)
@@ -220,64 +208,19 @@ def fsk_modulate(bits: BitStream, cfg: FskConfig) -> Waveform:
     return Waveform(samples, cfg.sample_rate, 0.0)
 
 
-def fsk_demodulate(wave: Waveform, cfg: FskConfig, bit_rate: float) -> BitStream:
-    """Recover bits by comparing quadrature correlation energy at both tones.
+def fft_size(n: int) -> int:
+    """Smallest 5-smooth length >= n: numpy's FFT is fast on those."""
+    odd = (3 ** j * 5 ** k for j in range(n.bit_length())
+           for k in range(n.bit_length()))
+    return min(p << (-(-n // p) - 1).bit_length() for p in odd)
 
-    For each bit period the received samples are correlated against sine and
-    cosine templates at freq0 and freq1; the tone with the larger energy
-    (I^2 + Q^2) wins.  Works on square-wave input because the fundamental
-    carries most of the energy and the harmonics fall outside both bands.
 
-    Args:
-        wave: received reflection-coefficient stream, sampled at
-            cfg.sample_rate.
-        cfg: tone configuration used by the modulator.
-        bit_rate: decision rate in bits per second.
+def pearson_window(x: np.ndarray, k: int, yz: np.ndarray, ey2: float) -> float:
+    """Exact Pearson correlation of x[k:k+m] against a pre-centred segment.
 
-    Returns:
-        BitStream at ``bit_rate``.
+    ``yz`` is the segment minus its mean and ``ey2`` its energy, so a caller
+    scoring one segment at many lags centres it once.
     """
-    if not bit_rate > 0:
-        raise ParameterError(f"bit_rate must be positive, got {bit_rate}")
-    slow = min(cfg.freq0, cfg.freq1)
-    if 1.0 / bit_rate < 2.0 / slow:
-        raise ParameterError(
-            f"bit period {1.0 / bit_rate:.3e} s is shorter than two cycles of "
-            f"the slower tone ({slow:.3e} Hz)"
-        )
-    n = len(wave)
-    if n == 0:
-        return BitStream(np.zeros(0, dtype=np.uint8), bit_rate)
-    spb = cfg.sample_rate / bit_rate
-    n_bits = int(round(n / spb))
-    if n_bits == 0:
-        return BitStream(np.zeros(0, dtype=np.uint8), bit_rate)
-    edges = np.minimum(_bit_boundaries(n_bits, spb), n)
-    t = np.arange(n) / cfg.sample_rate
-    bits = np.empty(n_bits, dtype=np.uint8)
-    for i in range(n_bits):
-        seg = wave.samples[edges[i]:edges[i + 1]]
-        ts = t[edges[i]:edges[i + 1]]
-        energies = []
-        for f in (cfg.freq0, cfg.freq1):
-            arg = 2.0 * np.pi * f * ts
-            i_corr = float(np.dot(seg, np.cos(arg)))
-            q_corr = float(np.dot(seg, np.sin(arg)))
-            energies.append(i_corr * i_corr + q_corr * q_corr)
-        bits[i] = 1 if energies[1] > energies[0] else 0
-    return BitStream(bits, bit_rate)
-
-
-def _as_series(x: Waveform | BitStream) -> tuple[np.ndarray, float]:
-    if isinstance(x, BitStream):
-        return x.signs(), x.bit_rate
-    if isinstance(x, Waveform):
-        return x.samples, x.sample_rate
-    raise ParameterError(f"expected Waveform or BitStream, got {type(x).__name__}")
-
-
-def _pearson_window(x: np.ndarray, k: int, yz: np.ndarray, ey2: float) -> float:
-    """Exact Pearson correlation of x[k:k+m] against a pre-centred segment."""
     xw = x[k:k + yz.size]
     xz = xw - xw.mean()
     a = float(np.dot(xz, xz))
@@ -301,7 +244,7 @@ def _sliding_pearson(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     Sliding window sums give the per-lag mean and energy of the reference
     without materializing an (n-m+1, m) matrix.  Large problems route the
     dot products through the FFT; callers that need exact values at specific
-    lags should recompute them with ``_pearson_window``.
+    lags should recompute them with ``pearson_window``.
     """
     n, m = x.size, y.size
     y_mean = y.mean()
@@ -314,7 +257,9 @@ def _sliding_pearson(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     if n * m <= 5e7:
         dot = np.correlate(x, y, mode="valid")
     else:
-        size = 1 << int(n + m - 1).bit_length()
+        # a circular convolution of size >= n leaves every full window
+        # unwrapped
+        size = fft_size(n)
         spec = np.fft.rfft(x, size) * np.fft.rfft(y[::-1], size)
         dot = np.fft.irfft(spec, size)[m - 1:n]
     num = dot - s1 * y_mean
@@ -329,15 +274,12 @@ def _sliding_pearson(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return corr
 
 
-def xcorr_offset(
-    reference: Waveform | BitStream, segment: Waveform | BitStream
-) -> tuple[float, float]:
+def xcorr_offset(reference: Waveform, segment: Waveform) -> tuple[float, float]:
     """Locate a segment inside a longer reference by normalized correlation.
 
     Every candidate placement keeps the segment fully inside the reference.
     Each window is compared Pearson-style (zero mean, unit energy), so a
-    scaled or attenuated copy still correlates at 1.  Bit streams take part
-    as +/-1 sequences.
+    scaled or attenuated copy still correlates at 1.
 
     Returns:
         (lag_seconds, peak) where lag is the offset of the best placement in
@@ -347,8 +289,8 @@ def xcorr_offset(
     Conventions for degenerate windows: two zero-variance windows correlate
     at 1.0, a zero-variance window against a varying one at 0.0.
     """
-    x, rate_x = _as_series(reference)
-    y, rate_y = _as_series(segment)
+    x, rate_x = reference.samples, reference.sample_rate
+    y, rate_y = segment.samples, segment.sample_rate
     if not math.isclose(rate_x, rate_y, rel_tol=1e-9):
         raise ParameterError(
             f"sample rates must match: reference {rate_x}, segment {rate_y}"
@@ -376,7 +318,7 @@ def xcorr_offset(
         candidates = np.union1d(candidates[:4096], [int(np.argmax(corr))])
     best_lag, best_peak = 0, -np.inf
     for k in candidates:
-        peak = _pearson_window(x, int(k), yz, ey2)
+        peak = pearson_window(x, int(k), yz, ey2)
         if peak > best_peak:
             best_peak, best_lag = peak, int(k)
     return best_lag / rate_x, best_peak

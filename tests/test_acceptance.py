@@ -24,7 +24,6 @@ from chirploc import (
     charge_time,
     default_components,
     friis_received_power,
-    fsk_demodulate,
     fsk_modulate,
     harvest_power,
     min_capacitance,
@@ -38,6 +37,7 @@ from chirploc import (
     xcorr_offset,
 )
 from chirploc.cli import main
+from fsk_demod import fsk_demodulate
 
 C_SOUND = 343.0
 FS_AUDIO = 192e3

@@ -336,6 +336,83 @@ def test_sweep_default_cells_are_pinned_digit_for_digit(capsys):
     ]
 
 
+DEFAULT_CONFIG_HASH = (
+    "a8e60a0363232f22604980c0ab95d060"
+    "ba092f39d747500355d66e458720aaef"
+)
+
+# Every cell of the default power tables, exactly as the CLI prints it.
+PINNED_TABLES = {
+    "charge-curve": """\
+distance_m,t_initial_s,t_update_s,p_harvest_w,p_in_dbm
+1.0,0.7531662988995963,0.06406896682510721,0.00023880516197124336,-2.0831749486580016
+1.5,1.7785698056670232,0.151296108232544,0.00010112619669293579,-5.605000129771625
+2.0,3.3569507189389265,0.28556291559971864,5.357838558227348e-05,-8.103774861937623
+2.5,5.633484054925157,0.4792188704567697,3.192695643520189e-05,-10.041975122098755
+3.0,8.812997795219765,0.7496879031850435,2.0408492567371045e-05,-11.625600043051243
+3.5,13.213185717986338,1.1239950043655638,1.3612160143572874e-05,-12.964535835663519
+4.0,19.276655905590296,1.6397911450880156,9.330456531510736e-06,-14.124374775217255
+4.5,27.69217320390081,2.3556669077042196,6.494975987462923e-06,-15.14742522416487
+5.0,42.34270311151725,3.6019312665751793,4.2477212549776465e-06,-16.06257503537838
+5.5,68.50005672527766,5.827036961507531,2.6256912563056118e-06,-16.890428738542873
+6.0,117.54725254012934,9.99929369433989,1.530108072399206e-06,-17.646199956330868
+6.5,223.77141068876097,19.035375200367124,8.037666628028884e-07,-18.34144208151512
+7.0,488.84665091962626,41.58430867936315,3.679272419308681e-07,-18.985135748943144
+""",
+    "size-buffer": """\
+quantity,value,unit
+e_tag,1.1742066000000001e-05,J
+c_min,6.777527272727298e-05,F
+standard_capacitance,6.8e-05,F
+e_cap_swing,1.5299999999999945e-05,J
+e_cap_full,0.00017985999999999998,J
+""",
+    "update-rate": """\
+distance_m,scenario,charge_time_s,duty_cycle,updates_per_hour,seconds_per_update
+1.0,initial,0.7531662988995963,0.1,477.98208778854456,7.531662988995962
+1.0,update,0.06406896682510721,0.1,5618.944987558688,0.6406896682510721
+1.5,initial,1.7785698056670232,0.1,202.40982324839814,17.78569805667023
+1.5,update,0.151296108232544,0.1,2379.439922186733,1.5129610823254398
+2.0,initial,3.3569507189389265,0.1,107.24018019358644,33.56950718938926
+2.0,update,0.28556291559971864,0.1,1260.6678960534985,2.8556291559971863
+2.5,initial,5.633484054925157,0.1,63.90361568260137,56.33484054925157
+2.5,update,0.4792188704567697,0.1,751.2225043576942,4.792188704567697
+3.0,initial,8.812997795219765,0.1,40.84875638971187,88.12997795219765
+3.0,update,0.7496879031850435,0.1,480.1998251146146,7.496879031850435
+3.5,initial,13.213185717986338,0.1,27.245511240332682,132.13185717986337
+3.5,update,1.1239950043655638,0.1,320.2861210252452,11.239950043655638
+4.0,initial,19.276655905590296,0.1,18.675438404002367,192.76655905590295
+4.0,update,1.6397911450880156,0.1,219.54015368260636,16.397911450880155
+4.5,initial,27.69217320390081,0.1,13.00006313514207,276.9217320390081
+4.5,update,2.3556669077042196,0.1,152.82296441089287,23.556669077042194
+5.0,initial,42.34270311151725,0.1,8.502055219570517,423.4270311151725
+5.0,update,3.6019312665751793,0.1,99.94638247006264,36.01931266575179
+5.5,initial,68.50005672527766,0.1,5.255470100467144,685.0005672527766
+5.5,update,5.827036961507531,0.1,61.78097073660285,58.27036961507531
+6.0,initial,117.54725254012934,0.1,3.0625981655938745,1175.4725254012933
+6.0,update,9.99929369433989,0.1,36.00254287998145,99.9929369433989
+6.5,initial,223.77141068876097,0.1,1.6087846025188473,2237.7141068876094
+6.5,update,19.035375200367124,0.1,18.912156771832738,190.35375200367122
+7.0,initial,488.84665091962626,0.1,0.7364272606199964,4888.466509196262
+7.0,update,41.58430867936315,0.1,8.657111574843988,415.84308679363147
+""",
+}
+
+
+def test_default_config_hash_is_pinned():
+    assert load_config().config_hash == DEFAULT_CONFIG_HASH
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_TABLES))
+def test_default_power_tables_are_pinned_digit_for_digit(capsys, command):
+    code, out, _ = run_cli(capsys, command)
+    assert code == 0
+    meta, _, _ = parse_csv(out)
+    assert meta["config_hash"] == DEFAULT_CONFIG_HASH
+    body = [line for line in out.splitlines() if not line.startswith("# ")]
+    assert body == PINNED_TABLES[command].splitlines()
+
+
 def test_sweep_runtime_error_exits_three(capsys):
     code, _, err = run_cli(capsys, "sweep", "--set", "sweep.step_deg=0")
     assert code == 3

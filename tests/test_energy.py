@@ -8,7 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from chirploc import (
-    CapacitorState,
     ComponentPower,
     HarvesterSpec,
     ParameterError,
@@ -186,15 +185,6 @@ def test_next_standard_capacitance_out_of_range():
         next_standard_capacitance(9.0)
     with pytest.raises(ParameterError):
         next_standard_capacitance(-1e-6)
-
-
-def test_capacitor_state_energy():
-    cap = CapacitorState(capacitance=6.8e-5, voltage=2.30)
-    assert cap.energy == pytest.approx(0.5 * 6.8e-5 * 2.30**2)
-    with pytest.raises(ParameterError):
-        CapacitorState(capacitance=0.0)
-    with pytest.raises(ParameterError):
-        CapacitorState(capacitance=1e-5, voltage=-0.1)
 
 
 def test_min_capacitance_rejects_negative_energy():

@@ -1,12 +1,9 @@
 """End-to-end ranging pipeline and least-squares position solving."""
 
 import dataclasses
-import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import chirploc.ranging as ranging
 from chirploc import (
@@ -21,7 +18,6 @@ from chirploc import (
     RangeWindowError,
     RangingTimeline,
     ReceiveWindow,
-    estimate_distance,
     fsk_modulate,
     gen_chirp,
     one_bit_quantize,
@@ -87,38 +83,30 @@ def test_timeline_rejects_wakeup_before_chirp():
                         capture_duration=0.001)
 
 
-# -------------------------------------------------------- estimate_distance
+# ------------------------------------------------------ lag to distance
 
-def test_estimate_distance_formula():
-    assert estimate_distance(0.010, TIMELINE, C) == pytest.approx(C * 0.010)
-
-
-def test_estimate_distance_zero_lag_is_max_range():
-    assert estimate_distance(0.0, TIMELINE, C) == pytest.approx(C * 0.020)
-
-
-def test_estimate_distance_full_delay_is_zero_range():
-    assert estimate_distance(0.020, TIMELINE, C) == 0.0
-
-
-def test_estimate_distance_clamps_and_warns_past_wakeup():
-    with pytest.warns(UserWarning):
-        d = estimate_distance(0.021, TIMELINE, C)
-    assert d == 0.0
-
-
-def test_estimate_distance_rejects_negative_lag():
-    with pytest.raises(ParameterError):
-        estimate_distance(-1e-3, TIMELINE, C)
-
-
-@given(st.floats(0.0, 0.020), st.floats(0.0, 0.020))
-@settings(max_examples=50)
-def test_estimate_distance_monotone_in_lag(lag_a, lag_b):
-    da = estimate_distance(lag_a, TIMELINE, C)
-    db = estimate_distance(lag_b, TIMELINE, C)
-    if lag_a < lag_b:
-        assert da >= db
+# A tag at zero distance wakes 0.6 samples past a sample instant, so its
+# nearest-sample capture starts 0.4 samples after the wake-up delay: the raw
+# distance is negative and clamps to 0.
+@pytest.mark.parametrize("mode, distance, timeline, clamps", [
+    ("ideal-audio", 1.7, TIMELINE, False),
+    ("ideal-audio", 4.9, TIMELINE, False),
+    ("ideal-audio", 0.0, RangingTimeline(
+        chirp_start=0.0, wakeup_time=0.020 + 0.6 / FS), True),
+    ("one-bit-backscatter", 1.7, TIMELINE, False),
+    ("one-bit-backscatter", 4.9, TIMELINE, False),
+    ("one-bit-backscatter", 0.0, RangingTimeline(
+        chirp_start=0.0, wakeup_time=0.020 + 0.6 / FSK.sample_rate), True),
+], ids=["ideal-1.7m", "ideal-4.9m", "ideal-clamps",
+        "one-bit-1.7m", "one-bit-4.9m", "one-bit-clamps"])
+def test_lag_converts_to_distance_and_clamps_at_zero(mode, distance,
+                                                     timeline, clamps):
+    r = _run(distance, timeline=timeline, mode=mode)
+    raw = C * (timeline.wakeup_delay - r.lag)
+    assert r.distance == max(raw, 0.0)
+    assert r.tof == r.distance / C
+    assert r.clamped == (raw < 0)
+    assert r.clamped == clamps
 
 
 # ---------------------------------------------------------- simulate_ranging
