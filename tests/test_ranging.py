@@ -109,6 +109,17 @@ def test_lag_converts_to_distance_and_clamps_at_zero(mode, distance,
     assert r.clamped == clamps
 
 
+def test_estimate_distance_full_delay_is_zero_range():
+    # A lag equal to the whole wake-up delay is a tag at the beacon: the
+    # conversion reads exactly 0 m without going through the clamp.
+    for mode in ("ideal-audio", "one-bit-backscatter"):
+        r = _run(0.0, mode=mode)
+        assert r.lag == TIMELINE.wakeup_delay, mode
+        assert r.distance == 0.0, mode
+        assert r.tof == 0.0, mode
+        assert not r.clamped, mode
+
+
 # ---------------------------------------------------------- simulate_ranging
 
 @pytest.mark.parametrize("mode", ["ideal-audio", "one-bit-backscatter"])
