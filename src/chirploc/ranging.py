@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .signals import (
     BitStream,
     ChirpSpec,
     FskConfig,
+    _carrier_phase,
     fft_size,
     fsk_modulate,
     gen_chirp,
@@ -189,19 +191,20 @@ def simulate_ranging(
             f"chirp duration={chirp.duration})"
         )
 
-    if mode == "ideal-audio":
-        rate = chirp.sample_rate
-    else:
-        # the comparator switches tones asynchronously; its transitions are
-        # observable at the RF sampling resolution
-        rate = fsk.sample_rate
-        chirp = dataclasses.replace(chirp, sample_rate=rate)
-
+    # the comparator switches tones asynchronously; its transitions are
+    # observable at the RF sampling resolution
+    rate = chirp.sample_rate if mode == "ideal-audio" else fsk.sample_rate
     window = ReceiveWindow(timeline.wakeup_time, timeline.capture_duration, rate)
     # a tag at zero distance starts its window round(wakeup_delay * rate)
     # samples into the chirp, and an interpolated window reads one further
     reach = round(timeline.wakeup_delay * rate) + window.n_samples + 1
-    reference = gen_chirp(chirp, reach)
+    if mode == "ideal-audio":
+        reference = gen_chirp(chirp, reach)
+    else:
+        matched = _backscatter_reference(
+            dataclasses.replace(chirp, sample_rate=rate), reach,
+            window.n_samples, fsk, threshold)
+        reference = matched[0]
     tx = dataclasses.replace(reference, t_origin=timeline.chirp_start)
     rx = propagate_acoustic(tx, channel)
     captured = sample_window(rx, window, interpolate=channel.interpolate_delays)
@@ -209,7 +212,7 @@ def simulate_ranging(
     if mode == "ideal-audio":
         lag, peak = xcorr_offset(reference, captured)
     else:
-        lag, peak = _locate_backscatter(reference, captured, fsk, threshold)
+        lag, peak = _locate_backscatter(matched, captured, fsk, threshold)
 
     # the sample heard at wake-up left the beacon ``lag`` seconds into the
     # chirp, so the flight time is wakeup_delay - lag
@@ -221,7 +224,38 @@ def simulate_ranging(
     )
 
 
-def _locate_backscatter(reference, captured, fsk: FskConfig,
+@lru_cache(maxsize=1)
+def _backscatter_reference(chirp: ChirpSpec, reach: int, m: int,
+                           fsk: FskConfig, threshold: float) -> tuple:
+    """The beacon side of the one-bit matched filter, built once per config.
+
+    Returns ``(reference, ref_bits, size, lags, tones)``: the first ``reach``
+    samples of ``chirp`` (at the RF rate), their comparator bits, the FFT
+    size, the number of lags an ``m``-sample window can take, and for each
+    harmonic h in ``HARMONICS`` the pair ``(fft(exp(2 pi i h P), size),
+    conj(exp(2 pi i h P[:lags])))``, with ``P`` the carrier phase
+    ``fsk_modulate`` reaches at each reference sample.  Only the last config
+    is kept, about 15 MB at the defaults; every array is read-only, so no
+    exchange can change what a later one reads.
+    """
+    reference = gen_chirp(chirp, reach)
+    ref_bits = one_bit_quantize(reference, threshold)
+    n = len(ref_bits)
+    lags = n - m + 1
+    phase = _carrier_phase(ref_bits, fsk)
+    # circular correlation over size >= n never wraps a window that fits
+    size = fft_size(n)
+    tones = []
+    for h in HARMONICS:
+        tone = np.exp(2j * np.pi * h * phase)
+        spectrum, rotation = np.fft.fft(tone, size), np.conj(tone[:lags])
+        spectrum.setflags(write=False)
+        rotation.setflags(write=False)
+        tones.append((spectrum, rotation))
+    return reference, ref_bits, size, lags, tuple(tones)
+
+
+def _locate_backscatter(matched: tuple, captured, fsk: FskConfig,
                         threshold: float) -> tuple[float, float]:
     """Find the capture offset from the FSK reflection of the comparator.
 
@@ -236,28 +270,26 @@ def _locate_backscatter(reference, captured, fsk: FskConfig,
     samples and the scan ranks lags by correlation alone.  The best lags
     are rescored exactly through the modulator, so a perfect match scores
     exactly 1.0 and the truncated series never decides the answer.
+
+    Everything on the reference side depends only on the config and comes
+    in ``matched`` from ``_backscatter_reference``: the comparator bits, the
+    tones' FFTs and their start-phase rotations.  Per exchange this quantizes
+    and modulates the capture, takes one forward FFT of it and one inverse
+    FFT per harmonic, and rescores the best lags.
     """
-    ref_bits = one_bit_quantize(reference, threshold)
+    _, ref_bits, size, lags, tones = matched
     tag_bits = one_bit_quantize(captured, threshold)
     rf = fsk_modulate(tag_bits, fsk)
     rfz = rf.samples - rf.samples.mean()
     erf2 = float(np.dot(rfz, rfz))
-    n, m = len(ref_bits), len(tag_bits)
-    lags = n - m + 1
+    m = len(tag_bits)
 
-    # one comparator bit per RF sample, so phase[j] is the carrier phase
-    # fsk_modulate reaches at sample j of the reference
-    cycles = np.where(ref_bits.bits, fsk.freq1, fsk.freq0) / fsk.sample_rate
-    phase = np.concatenate(([0.0], np.cumsum(cycles[:-1])))
-    # circular correlation over size >= n never wraps a window that fits
-    size = fft_size(n)
     rf_spec = np.conj(np.fft.fft(rfz, size))
     score = np.zeros(lags)
-    for h in HARMONICS:
-        tone = np.exp(2j * np.pi * h * phase)
-        corr = np.fft.ifft(np.fft.fft(tone, size) * rf_spec)[:lags]
+    for h, (spectrum, rotation) in zip(HARMONICS, tones):
+        corr = np.fft.ifft(spectrum * rf_spec)[:lags]
         # the square wave is 4/pi times the sum of sin(2 pi h theta) / h
-        score += (np.conj(tone[:lags]) * corr).imag / h
+        score += (rotation * corr).imag / h
 
     take = min(RESCORED_LAGS, lags)
     best_lag, best_score = 0, -np.inf

@@ -103,7 +103,7 @@ class BitStream:
         arr = np.asarray(self.bits, dtype=np.uint8)
         if arr.ndim != 1:
             raise ParameterError("bits must be one-dimensional")
-        if arr.size and not np.isin(arr, (0, 1)).all():
+        if arr.size and arr.max() > 1:
             raise ParameterError("bits must contain only 0 and 1")
         if not self.bit_rate > 0:
             raise ParameterError(f"bit_rate must be positive, got {self.bit_rate}")
@@ -191,21 +191,26 @@ def fsk_modulate(bits: BitStream, cfg: FskConfig) -> Waveform:
     the reflection coefficient of an RF switch driven by a multiplexed
     oscillator pair, so samples take only the values +1 and -1.
     """
-    n_bits = len(bits)
-    if n_bits == 0:
+    if len(bits) == 0:
         return Waveform(np.zeros(0), cfg.sample_rate, 0.0)
-    spb = cfg.sample_rate / bits.bit_rate
-    edges = _bit_boundaries(n_bits, spb)
-    per_bit = np.where(bits.bits, cfg.freq1, cfg.freq0) / cfg.sample_rate
-    cycles_per_sample = np.repeat(per_bit, np.diff(edges))
-    # accumulated phase keeps the carrier continuous across bit boundaries;
     # the sample is high during the first half of each carrier cycle.  The
     # half-open comparison keeps the sign deterministic even when a cycle
     # boundary lands exactly on a sample, which happens whenever the tone
     # divides the sample rate.
-    phase = np.concatenate(([0.0], np.cumsum(cycles_per_sample[:-1])))
+    phase = _carrier_phase(bits, cfg)
     samples = np.where(np.mod(phase, 1.0) < 0.5, 1.0, -1.0)
     return Waveform(samples, cfg.sample_rate, 0.0)
+
+
+def _carrier_phase(bits: BitStream, cfg: FskConfig) -> np.ndarray:
+    """Carrier phase, in cycles, at each sample ``fsk_modulate`` outputs.
+
+    Accumulating it keeps the carrier continuous across bit boundaries.
+    """
+    edges = _bit_boundaries(len(bits), cfg.sample_rate / bits.bit_rate)
+    per_bit = np.where(bits.bits, cfg.freq1, cfg.freq0) / cfg.sample_rate
+    cycles = np.repeat(per_bit, np.diff(edges))
+    return np.concatenate(([0.0], np.cumsum(cycles[:-1])))
 
 
 def fft_size(n: int) -> int:

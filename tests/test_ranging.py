@@ -409,3 +409,68 @@ def test_backscatter_locator_matches_exhaustive_replica_oracle(
     lag = int(round(r.lag * rate))
     assert lag == int(np.argmax(scores))
     assert r.peak == pytest.approx(scores[lag], abs=1e-12)
+
+
+# ------------------------------------------- reference side kept per config
+
+SHORT_ONE_BIT = {"chirp": SHORT_CHIRP, "timeline": SHORT_TIMELINE,
+                 "fsk": FSK, "threshold": 0.0}
+# each variant changes one input the memoized reference side depends on
+MEMO_VARIANTS = [
+    {"threshold": 0.1},
+    {"fsk": FskConfig(freq1=1.05e6)},
+    {"timeline": dataclasses.replace(SHORT_TIMELINE,
+                                     capture_duration=0.00015)},
+    {"timeline": dataclasses.replace(SHORT_TIMELINE, wakeup_time=0.0006)},
+    # as many reference samples as the base config, but a longer window
+    {"timeline": dataclasses.replace(SHORT_TIMELINE, wakeup_time=0.00045,
+                                     capture_duration=0.00015)},
+]
+# at zero distance the capture reaches the end of the reference, so one kept
+# from a shorter wake-up or capture would not cover it
+MEMO_CHANNELS = [
+    AcousticChannel(distance=0.0),
+    AcousticChannel(distance=0.08),
+    AcousticChannel(distance=0.13, noise_std=0.02, rng_seed=5),
+]
+
+
+def _one_bit(config, channel):
+    return simulate_ranging(config["chirp"], channel, config["timeline"],
+                            mode="one-bit-backscatter", fsk=config["fsk"],
+                            threshold=config["threshold"])
+
+
+def test_interleaved_configs_match_a_cold_reference():
+    def cold(config):
+        results = []
+        for channel in MEMO_CHANNELS:
+            ranging._backscatter_reference.cache_clear()
+            results.append(_one_bit(config, channel))
+        return results
+
+    base = cold(SHORT_ONE_BIT)
+    variants = [{**SHORT_ONE_BIT, **variant} for variant in MEMO_VARIANTS]
+    expected = [cold(config) for config in variants]
+    # each variant changes the answer, so a stale entry would show
+    assert all(results != base for results in expected)
+    ranging._backscatter_reference.cache_clear()
+    assert [_one_bit(SHORT_ONE_BIT, ch) for ch in MEMO_CHANNELS] == base
+    for config, results in zip(variants, expected):
+        assert [_one_bit(config, ch) for ch in MEMO_CHANNELS] == results
+        assert [_one_bit(SHORT_ONE_BIT, ch) for ch in MEMO_CHANNELS] == base
+
+
+def test_cached_reference_side_is_read_only():
+    spec = dataclasses.replace(SHORT_CHIRP, sample_rate=FSK.sample_rate)
+    key = (spec, 6001, 1000, FSK, 0.0)
+    matched = ranging._backscatter_reference(*key)
+    assert ranging._backscatter_reference(*key) is matched
+    reference, ref_bits, size, lags, tones = matched
+    assert (len(reference), size, lags) == (6001, ranging.fft_size(6001), 5002)
+    arrays = [reference.samples, ref_bits.bits,
+              *(array for pair in tones for array in pair)]
+    assert len(arrays) == 2 + 2 * len(ranging.HARMONICS)
+    for array in arrays:
+        with pytest.raises(ValueError):
+            array[0] = 0

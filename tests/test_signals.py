@@ -165,6 +165,12 @@ def test_bitstream_rejects_non_binary():
         BitStream(np.array([0, 1, 2], dtype=np.uint8), 1e3)
 
 
+@pytest.mark.parametrize("bits", [[0, 2], [0, 1, 7]])
+def test_bitstream_rejects_values_above_one(bits):
+    with pytest.raises(ParameterError, match="only 0 and 1"):
+        BitStream(bits, 1e3)
+
+
 # ------------------------------------------------------------------- FSK
 
 def _tone_peak_hz(w: Waveform) -> float:
