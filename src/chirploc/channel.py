@@ -142,7 +142,7 @@ def propagate_acoustic(tx: Waveform, ch: AcousticChannel) -> Waveform:
         for extra_delay, gain in ch.multipath:
             _shift_add(out, direct, extra_delay * fs, gain, ch.interpolate_delays)
     else:
-        out = direct.copy()
+        out = direct
 
     if ch.noise_std > 0:
         rng = np.random.default_rng(ch.rng_seed)

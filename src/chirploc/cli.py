@@ -200,12 +200,11 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, args.set, args.seed)
+        table = COMMANDS[args.command](cfg)
+        table.write(args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    try:
-        table = COMMANDS[args.command](cfg)
-        table.write(args.out)
     except (ParameterError, RangeWindowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -27,10 +27,10 @@ from .energy import (
     load_component_table,
     load_efficiency_curve,
 )
-from .errors import ConfigError, ParameterError
+from .errors import ConfigError
 from .ranging import RangingTimeline
 from .signals import ChirpSpec, FskConfig
-from .wpt import ArraySpec, RfLink
+from .wpt import ArraySpec, RfLink, inclusive_grid
 
 __all__ = ["DEFAULT_CONFIG", "ScenarioConfig", "load_config", "resolve_config"]
 
@@ -70,7 +70,6 @@ DEFAULT_CONFIG: dict[str, Any] = {
     "harvester": {
         "v_chrdy": 2.30,
         "v_ovdis": 2.20,
-        "v_out": 1.8,
         "eta_ldo_worst": 0.77,
         "p_in_min_dbm": -19.5,
         "p_in_max_dbm": 10.0,
@@ -114,34 +113,28 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
             raise ConfigError(f"unknown config key '{dotted}'")
         if isinstance(base[key], dict):
             if not isinstance(value, dict):
-                raise ConfigError(f"config key '{dotted}' must be an object")
+                raise ConfigError(
+                    f"config key '{dotted}' must be an object; set its fields")
             out[key] = _merge(base[key], value, f"{dotted}.")
+        elif isinstance(value, dict):
+            raise ConfigError(f"config key '{dotted}' takes a value, not an object")
         else:
             out[key] = value
     return out
 
 
-def _apply_set(resolved: dict, assignment: str) -> None:
+def _set_override(assignment: str) -> dict:
+    """``--set a.b=v`` as the nested override ``{"a": {"b": v}}``."""
     if "=" not in assignment:
         raise ConfigError(f"--set expects key=value, got '{assignment}'")
     dotted, _, raw = assignment.partition("=")
-    dotted = dotted.strip()
     try:
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
-    node = resolved
-    parts = dotted.split(".")
-    for part in parts[:-1]:
-        if not isinstance(node, dict) or part not in node:
-            raise ConfigError(f"unknown config key '{dotted}'")
-        node = node[part]
-    leaf = parts[-1]
-    if not isinstance(node, dict) or leaf not in node:
-        raise ConfigError(f"unknown config key '{dotted}'")
-    if isinstance(node[leaf], dict):
-        raise ConfigError(f"config key '{dotted}' is an object; set its fields")
-    node[leaf] = value
+    for part in reversed(dotted.strip().split(".")):
+        value = {part: value}
+    return value
 
 
 def resolve_config(path: str | None = None, sets: list[str] | None = None,
@@ -161,21 +154,17 @@ def resolve_config(path: str | None = None, sets: list[str] | None = None,
             raise ConfigError("config file must contain a JSON object")
     resolved = _merge(DEFAULT_CONFIG, user)
     for assignment in sets or []:
-        _apply_set(resolved, assignment)
+        resolved = _merge(resolved, _set_override(assignment))
     if seed is not None:
         resolved["rng_seed"] = int(seed)
     return resolved
 
 
 def _grid(spec: dict, name: str) -> np.ndarray:
-    lo, hi, step = spec["d_min_m"], spec["d_max_m"], spec["d_step_m"]
+    lo, hi, step = (float(spec[k]) for k in ("d_min_m", "d_max_m", "d_step_m"))
     if not step > 0:
         raise ConfigError(f"{name}.d_step_m must be positive, got {step}")
-    if hi < lo:
-        return np.zeros(0)
-    # last point is the largest lo + k*step <= hi, eps-tolerant
-    n = int(np.floor((hi - lo) / step + 1e-9)) + 1
-    return lo + step * np.arange(n)
+    return inclusive_grid(lo, hi, step)
 
 
 @dataclass(frozen=True)
@@ -200,7 +189,7 @@ class ScenarioConfig:
     def from_dict(cls, resolved: dict) -> "ScenarioConfig":
         try:
             return cls._build(resolved)
-        except ParameterError as exc:
+        except (TypeError, ValueError, OSError) as exc:
             raise ConfigError(str(exc)) from exc
 
     @classmethod
@@ -227,7 +216,7 @@ class ScenarioConfig:
         )
 
         if resolved["components_file"]:
-            components = load_component_table(resolved["components_file"])
+            components = load_component_table(str(resolved["components_file"]))
         else:
             components = default_components()
         s = resolved["startup"]
@@ -239,13 +228,12 @@ class ScenarioConfig:
 
         h = resolved["harvester"]
         if h["efficiency_curve_file"]:
-            curve = load_efficiency_curve(h["efficiency_curve_file"])
+            curve = load_efficiency_curve(str(h["efficiency_curve_file"]))
         else:
             curve = default_efficiency_curve()
         harvester = HarvesterSpec(
             v_chrdy=float(h["v_chrdy"]),
             v_ovdis=float(h["v_ovdis"]),
-            v_out=float(h["v_out"]),
             eta_ldo_worst=float(h["eta_ldo_worst"]),
             p_in_min=float(h["p_in_min_dbm"]),
             p_in_max=float(h["p_in_max_dbm"]),
@@ -270,8 +258,6 @@ class ScenarioConfig:
                 f"update_rate.measurement_overhead_s must be >= 0, got {overhead}"
             )
 
-        # validate the link block once (the EIRP ceiling in particular),
-        # independent of any particular grid distance
         cfg = cls(
             resolved=resolved,
             rng_seed=int(resolved["rng_seed"]),
@@ -287,8 +273,18 @@ class ScenarioConfig:
             measurement_overhead=overhead,
             config_hash=_hash_config(resolved, components, harvester),
         )
+        # Build what the commands build per distance or per row once here
+        # (the EIRP ceiling in particular), so a malformed value fails at
+        # load, not partway through a table.  Grid bounds wait for grid().
         cfg.link_at(1.0)
-        cfg.sweep_array(1)
+        cfg.channel_at(1.0)
+        sweep = resolved["sweep"]
+        for value in (sweep["distance_m"], sweep["dwell_s"], sweep["step_deg"],
+                      *sweep["tag_angles_deg"], *resolved["grid"].values(),
+                      *resolved["range_grid"].values()):
+            float(value)
+        for n in sweep["n_elements"]:
+            cfg.sweep_array(n)
         return cfg
 
     def link_at(self, distance: float) -> RfLink:

@@ -136,7 +136,6 @@ class HarvesterSpec:
 
     v_chrdy: float = 2.30
     v_ovdis: float = 2.20
-    v_out: float = 1.8
     eta_ldo_worst: float = 0.77
     p_in_min: float = -19.5
     p_in_max: float = 10.0
@@ -232,12 +231,8 @@ def harvester_output(p_in_dbm: float, harvester: HarvesterSpec) -> float:
 def load_component_table(path: str | Path) -> tuple[ComponentPower, ...]:
     """Read a component table CSV (name,power_w,turn_on_time_s,count)."""
     with open(path, newline="") as fh:
-        return _parse_component_rows(fh)
-
-
-def _parse_component_rows(fh) -> tuple[ComponentPower, ...]:
-    rows = _read_rows(fh, "component table",
-                      ("name", "power_w", "turn_on_time_s", "count"))
+        rows = _read_rows(fh, "component table",
+                          ("name", "power_w", "turn_on_time_s", "count"))
     return tuple(
         ComponentPower(name=name.strip(), power=float(power),
                        turn_on_time=float(turn_on), count=int(count))
@@ -248,11 +243,7 @@ def _parse_component_rows(fh) -> tuple[ComponentPower, ...]:
 def load_efficiency_curve(path: str | Path) -> tuple[tuple[float, float], ...]:
     """Read an efficiency curve CSV (p_in_dbm,efficiency)."""
     with open(path, newline="") as fh:
-        return _parse_curve_rows(fh)
-
-
-def _parse_curve_rows(fh) -> tuple[tuple[float, float], ...]:
-    rows = _read_rows(fh, "efficiency curve", ("p_in_dbm", "efficiency"))
+        rows = _read_rows(fh, "efficiency curve", ("p_in_dbm", "efficiency"))
     return tuple((float(p), float(eta)) for p, eta in rows)
 
 
@@ -275,16 +266,17 @@ def _read_rows(lines, what: str, header: tuple[str, ...]) -> list[list[str]]:
 @lru_cache(maxsize=1)
 def default_components() -> tuple[ComponentPower, ...]:
     """The built-in receive-chain component table."""
-    text = resources.files("chirploc.data").joinpath("tag_components.csv").read_text()
-    return _parse_component_rows(text.splitlines(keepends=True))
+    data = resources.files("chirploc.data")
+    with resources.as_file(data.joinpath("tag_components.csv")) as path:
+        return load_component_table(path)
 
 
 @lru_cache(maxsize=1)
 def default_efficiency_curve() -> tuple[tuple[float, float], ...]:
     """The built-in calibrated harvester efficiency curve."""
-    text = resources.files("chirploc.data").joinpath(
-        "harvester_efficiency.csv").read_text()
-    return _parse_curve_rows(text.splitlines(keepends=True))
+    data = resources.files("chirploc.data")
+    with resources.as_file(data.joinpath("harvester_efficiency.csv")) as path:
+        return load_efficiency_curve(path)
 
 
 def default_harvester() -> HarvesterSpec:

@@ -113,10 +113,9 @@ class RangingResult:
 
 @dataclass(frozen=True)
 class BeaconSet:
-    """Beacon coordinates (one row per beacon) plus their shared timeline."""
+    """Beacon coordinates, one row per beacon."""
 
     positions: np.ndarray
-    timeline: RangingTimeline | None = None
 
     def __post_init__(self):
         pos = np.asarray(self.positions, dtype=np.float64)
@@ -307,13 +306,11 @@ def trilaterate(
     distances: np.ndarray,
     initial_guess: np.ndarray | None = None,
     max_iterations: int = 50,
-    step_tol: float = 1e-9,
 ) -> PositionFix:
     """Solve for a position from beacon distances by Gauss-Newton.
 
     Starts from the beacon centroid (or ``initial_guess``) and iterates
-    damped-free Gauss-Newton steps until the step norm drops below
-    ``step_tol`` metres.
+    damped-free Gauss-Newton steps until the step norm drops below 1 nm.
 
     Raises:
         GeometryError: degenerate beacon geometry or rank-deficient Jacobian.
@@ -350,7 +347,7 @@ def trilaterate(
                 "geometry does not constrain the fix"
             )
         x = x + step
-        if np.linalg.norm(step) < step_tol:
+        if np.linalg.norm(step) < 1e-9:
             diff = x - pos
             residual = np.linalg.norm(diff, axis=1) - d
             return PositionFix(

@@ -25,6 +25,11 @@ __all__ = [
 ]
 
 
+# Largest |freq1 - freq0| / min(freq0, freq1): the tones stay close enough
+# for a single oscillator pair to generate both.
+MAX_SHIFT_RATIO = 0.10
+
+
 @dataclass(frozen=True)
 class ChirpSpec:
     """Linear frequency sweep description.
@@ -118,14 +123,13 @@ class FskConfig:
     """Two-tone square-wave FSK parameters for the backscatter uplink.
 
     The tone spacing is kept small relative to the carriers so a single
-    oscillator pair can generate both; ``max_shift_ratio`` bounds
+    oscillator pair can generate both; ``MAX_SHIFT_RATIO`` bounds
     ``|freq1 - freq0| / min(freq0, freq1)``.
     """
 
     freq0: float = 1.0e6
     freq1: float = 1.1e6
     sample_rate: float = 1.0e7
-    max_shift_ratio: float = 0.10
 
     def __post_init__(self):
         if not (self.freq0 > 0 and self.freq1 > 0):
@@ -133,11 +137,10 @@ class FskConfig:
         if self.freq0 == self.freq1:
             raise ParameterError("freq0 and freq1 must differ")
         shift = abs(self.freq1 - self.freq0) / min(self.freq0, self.freq1)
-        if shift > self.max_shift_ratio + 1e-12:
+        if shift > MAX_SHIFT_RATIO + 1e-12:
             raise ParameterError(
-                f"tone spacing {shift:.3f} exceeds max_shift_ratio "
-                f"{self.max_shift_ratio}"
-            )
+                f"tone spacing {shift:.3f} exceeds the maximum ratio "
+                f"{MAX_SHIFT_RATIO}")
         if not self.sample_rate > 4 * max(self.freq0, self.freq1):
             raise ParameterError(
                 f"sample_rate ({self.sample_rate}) must exceed four times the "
@@ -233,12 +236,12 @@ def pearson_window(x: np.ndarray, k: int, yz: np.ndarray, ey2: float) -> float:
         return 1.0
     if a == 0.0 or ey2 == 0.0:
         return 0.0
-    # sqrt(fl(a*a)) == a in IEEE double, so a perfect match is exactly 1.0
-    denom = math.sqrt(a * ey2)
-    if denom == 0.0:
-        # a*ey2 underflowed; the factored form cannot, since sqrt of a
-        # positive subnormal is a positive normal number
-        denom = math.sqrt(a) * math.sqrt(ey2)
+    # sqrt(fl(a*a)) == a in IEEE double, so a perfect match is exactly 1.0.
+    # Scaling each factor by an even power of two first is exact and keeps
+    # the product clear of underflow and overflow.
+    ea, ee = math.frexp(a)[1] & ~1, math.frexp(ey2)[1] & ~1
+    denom = math.ldexp(
+        math.sqrt(math.ldexp(a, -ea) * math.ldexp(ey2, -ee)), (ea + ee) // 2)
     peak = float(np.dot(xz, yz)) / denom
     return min(1.0, max(-1.0, peak))
 

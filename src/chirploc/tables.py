@@ -17,8 +17,6 @@ __all__ = ["ResultTable", "format_cell"]
 
 
 def format_cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         if math.isinf(value):
             return "inf" if value > 0 else "-inf"

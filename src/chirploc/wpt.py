@@ -171,10 +171,17 @@ def array_factor(array: ArraySpec, target_angle: float) -> float:
     return array.element_gain + 10.0 * math.log10(power_ratio)
 
 
-def _swept_angles(step: float) -> np.ndarray:
-    if not 0 < step <= 180:
-        raise ParameterError(f"sweep step must be in (0, 180], got {step}")
-    return np.arange(-90.0, 90.0 + step / 2, step)
+def inclusive_grid(lo: float, hi: float, step: float) -> np.ndarray:
+    """``lo, lo + step, ...`` up to ``hi`` for a positive ``step``.
+
+    The last point is the largest ``lo + k*step <= hi``, tolerant to 1e-9
+    of a step and clipped at ``hi`` so that rounding never carries a point
+    past it.  Empty when ``hi < lo``.
+    """
+    if hi < lo:
+        return np.zeros(0)
+    n = int(np.floor((hi - lo) / step + 1e-9)) + 1
+    return np.minimum(lo + step * np.arange(n), hi)
 
 
 def beam_sweep_precharge(
@@ -202,7 +209,9 @@ def beam_sweep_precharge(
     """
     if not dwell > 0:
         raise ParameterError(f"dwell must be positive, got {dwell}")
-    angles = _swept_angles(step)
+    if not 0 < step <= 180:
+        raise ParameterError(f"sweep step must be in (0, 180], got {step}")
+    angles = inclusive_grid(-90.0, 90.0, step)
     target = buffer_energy(capacitance, harvester.v_chrdy, 0.0)
     path = 20.0 * math.log10(4.0 * math.pi * link.distance / link.wavelength)
 

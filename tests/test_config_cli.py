@@ -2,6 +2,7 @@
 
 import json
 import math
+from importlib import resources
 
 import pytest
 
@@ -69,6 +70,21 @@ def test_group_key_must_be_an_object(tmp_path):
     path.write_text(json.dumps({"chirp": 42}))
     with pytest.raises(ConfigError, match="must be an object"):
         load_config(str(path))
+    path.write_text(json.dumps({"chirp": {"f_start_hz": {"x": 1}}}))
+    with pytest.raises(ConfigError, match="chirp.f_start_hz"):
+        load_config(str(path))
+
+
+def test_copies_of_the_packaged_data_files_give_the_default_hash(tmp_path):
+    data = resources.files("chirploc.data")
+    sets = []
+    for key, name in (("components_file", "tag_components.csv"),
+                      ("harvester.efficiency_curve_file",
+                       "harvester_efficiency.csv")):
+        copy = tmp_path / name
+        copy.write_text(data.joinpath(name).read_text())
+        sets.append(f"{key}={copy}")
+    assert load_config(sets=sets).config_hash == DEFAULT_CONFIG_HASH
 
 
 def test_set_overrides_parse_json_values():
@@ -337,8 +353,8 @@ def test_sweep_default_cells_are_pinned_digit_for_digit(capsys):
 
 
 DEFAULT_CONFIG_HASH = (
-    "a8e60a0363232f22604980c0ab95d060"
-    "ba092f39d747500355d66e458720aaef"
+    "3bf6be431d95be4452d96ad3c340880d"
+    "ba13895991d53e92e59d47a11c829338"
 )
 
 # Every cell of the default power tables, exactly as the CLI prints it.
@@ -489,6 +505,25 @@ def test_sweep_runtime_error_exits_three(capsys):
 
 
 # ------------------------------------------------------------ shared plumbing
+
+@pytest.mark.parametrize("command,assignment", [
+    ("size-buffer", "chirp.f_start_hz=abc"),
+    ("size-buffer", 'chirp.f_start_hz={"x": 1}'),
+    ("charge-curve", "timeline.capture_duration_s=null"),
+    ("size-buffer", "components_file=missing.csv"),
+    ("range", "channel.noise_std=abc"),
+    ("range", "channel.multipath=[[1]]"),
+    ("sweep", "sweep.tag_angles_deg=5"),
+    ("sweep", 'sweep.n_elements=["x"]'),
+    ("charge-curve", "grid.d_step_m=0"),
+    ("range", "range_grid.d_step_m=0"),
+])
+def test_malformed_values_exit_two(capsys, command, assignment):
+    code, out, err = run_cli(capsys, command, "--set", assignment)
+    assert code == 2
+    assert err.startswith("config error:")
+    assert out == ""
+
 
 def test_unknown_set_key_exits_two(capsys):
     code, _, err = run_cli(capsys, "charge-curve", "--set", "warp=9")

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chirploc import (
@@ -18,6 +18,7 @@ from chirploc import (
     one_bit_quantize,
     xcorr_offset,
 )
+from chirploc.signals import _sliding_pearson, pearson_window
 from fsk_demod import fsk_demodulate
 
 DEFAULT_CHIRP = ChirpSpec(f_start=20e3, f_stop=40e3, duration=0.050,
@@ -320,6 +321,7 @@ def test_xcorr_one_bit_flips_keep_lag():
 @given(st.lists(st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
                 min_size=1, max_size=128))
 @settings(max_examples=60)
+@example(samples=[0.0, 3.462314603717685e-92])  # energy product underflows
 def test_xcorr_self_correlation_is_exactly_unity(samples):
     w = Waveform(np.array(samples), 48e3)
     assert xcorr_offset(w, w) == (0.0, 1.0)
@@ -343,6 +345,40 @@ def test_xcorr_tie_breaks_to_smallest_lag():
     lag, peak = xcorr_offset(ref, seg)
     assert lag == 0.0
     assert peak == 1.0
+
+
+def _exact_pearson(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``pearson_window`` at every lag of y within x."""
+    yz = y - y.mean()
+    ey2 = float(yz @ yz)
+    return np.array([pearson_window(x, k, yz, ey2)
+                     for k in range(x.size - y.size + 1)])
+
+
+def test_xcorr_tie_cap_keeps_the_smallest_lag():
+    # a 64 kHz tone sampled at 192 kHz repeats every 3 samples, so more
+    # lags tie with the true one than the candidate cap admits, and the
+    # scan's own argmax lies far from the smallest of them
+    tone = gen_chirp(ChirpSpec(64e3, 64e3, 0.086, 192e3))
+    seg = Waveform(tone.samples[16415:16511], tone.sample_rate)
+    corr = _sliding_pearson(tone.samples, seg.samples)
+    assert (corr >= corr.max() - 1e-6).sum() > 4096
+    exact = _exact_pearson(tone.samples, seg.samples)
+    lag, peak = xcorr_offset(tone, seg)
+    assert round(lag * tone.sample_rate) == int(np.argmax(exact))
+    assert peak == exact.max()
+
+
+def test_sliding_pearson_fft_branch_matches_exact_windows():
+    rng = np.random.default_rng(11)
+    x = gen_chirp(DEFAULT_CHIRP).samples + 0.1 * rng.normal(size=9600)
+    k, m = 1234, 6000
+    y = x[k:k + m] + 0.1 * rng.normal(size=m)
+    assert x.size * m > 5e7  # large enough for the FFT branch
+    corr = _sliding_pearson(x, y)
+    exact = _exact_pearson(x, y)
+    assert int(np.argmax(corr)) == int(np.argmax(exact)) == k
+    assert np.allclose(corr, exact, rtol=0.0, atol=1e-9)
 
 
 def test_xcorr_peak_stays_in_unit_interval():

@@ -5,7 +5,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from chirploc import (
@@ -26,6 +26,7 @@ from chirploc import (
     update_rate,
 )
 from chirploc.cli import main
+from chirploc.wpt import inclusive_grid
 from chirploc.config import load_config
 
 HARVESTER = HarvesterSpec()
@@ -207,7 +208,7 @@ def steer_powers(array: ArraySpec, tag: float, link: RfLink = RfLink(4.5),
     """DC watts the tag harvests at each steering of one sweep."""
     path = 20.0 * math.log10(4.0 * math.pi * link.distance / link.wavelength)
     powers = []
-    for steer in np.arange(-90.0, 90.0 + step / 2, step):
+    for steer in -90.0 + step * np.arange(180.0 // step + 1):
         gain = array_factor(ArraySpec(array.n_elements, array.spacing,
                                       array.element_gain, float(steer)), tag)
         p_in = link.p_t + gain + link.g_r - path
@@ -362,6 +363,28 @@ def test_sweep_replay_oracle():
 
     t = beam_sweep_precharge(ArraySpec(4), tag, **SWEEP_KW)
     assert t == pytest.approx(replayed, rel=1e-3)
+
+
+@pytest.mark.parametrize("step", [7.0, 13.0, 100.0, 179.0])
+def test_sweep_step_with_a_remainder_stops_short_of_endfire(capsys, step):
+    # 180 / step leaves a remainder: the last steer is the largest
+    # -90 + k*step <= 90, never a direction past endfire
+    assert main(["sweep", "--set", f"sweep.step_deg={step}"]) == 0
+    assert "nan" not in capsys.readouterr().out
+    powers = steer_powers(ArraySpec(8), -90.0, step=step)
+    t = beam_sweep_precharge(ArraySpec(8), -90.0, **dict(SWEEP_KW, step=step))
+    assert t == pytest.approx(walked_precharge(powers, 1.0, TARGET), rel=1e-9)
+
+
+@given(st.floats(1e-2, 180.0), st.floats(-100.0, 100.0), st.floats(0.0, 100.0))
+@example(0.1, 0.0, 0.3)  # 3 * 0.1 rounds past 0.3
+def test_inclusive_grid_stays_inside_its_bounds(step, lo, span):
+    hi = lo + span
+    grid = inclusive_grid(lo, hi, step)
+    assert grid[0] == lo
+    assert (grid >= lo).all() and (grid <= hi).all()
+    assert np.allclose(np.diff(grid), step, rtol=1e-9, atol=1e-9)
+    assert hi - grid[-1] < step * (1 + 1e-9)
 
 
 def test_sweep_rejects_a_dwell_too_short_to_count():
