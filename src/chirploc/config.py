@@ -160,8 +160,19 @@ def resolve_config(path: str | None = None, sets: list[str] | None = None,
     return resolved
 
 
-def _grid(spec: dict, name: str) -> np.ndarray:
-    lo, hi, step = (float(spec[k]) for k in ("d_min_m", "d_max_m", "d_step_m"))
+def _read(resolved: dict, dotted: str, convert=float):
+    """``convert`` applied to the value at a dotted key: a value it rejects,
+    or a data file it cannot read, is a ``ConfigError`` naming the key."""
+    group, _, key = dotted.rpartition(".")
+    try:
+        return convert((resolved[group] if group else resolved)[key])
+    except (TypeError, ValueError, OSError) as exc:
+        raise ConfigError(f"{dotted}: {exc}") from exc
+
+
+def _grid(resolved: dict, name: str) -> np.ndarray:
+    lo, hi, step = (_read(resolved, f"{name}.{k}")
+                    for k in ("d_min_m", "d_max_m", "d_step_m"))
     if not step > 0:
         raise ConfigError(f"{name}.d_step_m must be positive, got {step}")
     return inclusive_grid(lo, hi, step)
@@ -194,55 +205,52 @@ class ScenarioConfig:
 
     @classmethod
     def _build(cls, resolved: dict) -> "ScenarioConfig":
-        c = resolved["chirp"]
         chirp = ChirpSpec(
-            f_start=float(c["f_start_hz"]),
-            f_stop=float(c["f_stop_hz"]),
-            duration=float(c["duration_s"]),
-            sample_rate=float(c["sample_rate_hz"]),
-            amplitude=float(c["amplitude"]),
+            f_start=_read(resolved, "chirp.f_start_hz"),
+            f_stop=_read(resolved, "chirp.f_stop_hz"),
+            duration=_read(resolved, "chirp.duration_s"),
+            sample_rate=_read(resolved, "chirp.sample_rate_hz"),
+            amplitude=_read(resolved, "chirp.amplitude"),
         )
-        t = resolved["timeline"]
         timeline = RangingTimeline(
-            chirp_start=float(t["chirp_start_s"]),
-            wakeup_time=float(t["wakeup_time_s"]),
-            capture_duration=float(t["capture_duration_s"]),
+            chirp_start=_read(resolved, "timeline.chirp_start_s"),
+            wakeup_time=_read(resolved, "timeline.wakeup_time_s"),
+            capture_duration=_read(resolved, "timeline.capture_duration_s"),
         )
-        f = resolved["fsk"]
         fsk = FskConfig(
-            freq0=float(f["freq0_hz"]),
-            freq1=float(f["freq1_hz"]),
-            sample_rate=float(f["sample_rate_hz"]),
+            freq0=_read(resolved, "fsk.freq0_hz"),
+            freq1=_read(resolved, "fsk.freq1_hz"),
+            sample_rate=_read(resolved, "fsk.sample_rate_hz"),
         )
 
         if resolved["components_file"]:
-            components = load_component_table(str(resolved["components_file"]))
+            components = _read(resolved, "components_file",
+                               lambda path: load_component_table(str(path)))
         else:
             components = default_components()
-        s = resolved["startup"]
         startup = StartupPlan(
-            mode=s["mode"],
-            operate_time=float(s["operate_time_s"]),
-            overlap=s["overlap"],
+            mode=resolved["startup"]["mode"],
+            operate_time=_read(resolved, "startup.operate_time_s"),
+            overlap=resolved["startup"]["overlap"],
         )
 
-        h = resolved["harvester"]
-        if h["efficiency_curve_file"]:
-            curve = load_efficiency_curve(str(h["efficiency_curve_file"]))
+        if resolved["harvester"]["efficiency_curve_file"]:
+            curve = _read(resolved, "harvester.efficiency_curve_file",
+                          lambda path: load_efficiency_curve(str(path)))
         else:
             curve = default_efficiency_curve()
         harvester = HarvesterSpec(
-            v_chrdy=float(h["v_chrdy"]),
-            v_ovdis=float(h["v_ovdis"]),
-            eta_ldo_worst=float(h["eta_ldo_worst"]),
-            p_in_min=float(h["p_in_min_dbm"]),
-            p_in_max=float(h["p_in_max_dbm"]),
+            v_chrdy=_read(resolved, "harvester.v_chrdy"),
+            v_ovdis=_read(resolved, "harvester.v_ovdis"),
+            eta_ldo_worst=_read(resolved, "harvester.eta_ldo_worst"),
+            p_in_min=_read(resolved, "harvester.p_in_min_dbm"),
+            p_in_max=_read(resolved, "harvester.p_in_max_dbm"),
             efficiency_curve=curve,
-            eta_antenna=float(h["eta_antenna"]),
-            eta_storage=float(h["eta_storage"]),
+            eta_antenna=_read(resolved, "harvester.eta_antenna"),
+            eta_storage=_read(resolved, "harvester.eta_storage"),
         )
 
-        capacitance = float(resolved["capacitance_f"])
+        capacitance = _read(resolved, "capacitance_f")
         if not capacitance > 0:
             raise ConfigError(
                 f"capacitance_f must be positive, got {capacitance}"
@@ -252,7 +260,7 @@ class ScenarioConfig:
             raise ConfigError(
                 f"scenario must be 'initial', 'update' or 'both', got {scenario!r}"
             )
-        overhead = float(resolved["update_rate"]["measurement_overhead_s"])
+        overhead = _read(resolved, "update_rate.measurement_overhead_s")
         if overhead < 0:
             raise ConfigError(
                 f"update_rate.measurement_overhead_s must be >= 0, got {overhead}"
@@ -260,11 +268,11 @@ class ScenarioConfig:
 
         cfg = cls(
             resolved=resolved,
-            rng_seed=int(resolved["rng_seed"]),
+            rng_seed=_read(resolved, "rng_seed", int),
             chirp=chirp,
             timeline=timeline,
             fsk=fsk,
-            comparator_threshold=float(resolved["comparator_threshold"]),
+            comparator_threshold=_read(resolved, "comparator_threshold"),
             components=components,
             startup=startup,
             harvester=harvester,
@@ -276,14 +284,16 @@ class ScenarioConfig:
         # Build what the commands build per distance or per row once here
         # (the EIRP ceiling in particular), so a malformed value fails at
         # load, not partway through a table.  Grid bounds wait for grid().
+        # Every value in these groups is a number; link_at runs per table row,
+        # so its values are named here rather than on each read.
+        numbers = [f"{g}.{k}" for g in ("link", "grid", "range_grid")
+                   for k in resolved[g]]
+        for key in ("sweep.distance_m", "sweep.dwell_s", "sweep.step_deg", *numbers):
+            _read(resolved, key)
         cfg.link_at(1.0)
         cfg.channel_at(1.0)
-        sweep = resolved["sweep"]
-        for value in (sweep["distance_m"], sweep["dwell_s"], sweep["step_deg"],
-                      *sweep["tag_angles_deg"], *resolved["grid"].values(),
-                      *resolved["range_grid"].values()):
-            float(value)
-        for n in sweep["n_elements"]:
+        _read(resolved, "sweep.tag_angles_deg", lambda v: list(map(float, v)))
+        for n in _read(resolved, "sweep.n_elements", lambda v: list(map(int, v))):
             cfg.sweep_array(n)
         return cfg
 
@@ -300,30 +310,30 @@ class ScenarioConfig:
         )
 
     def channel_at(self, distance: float, seed_offset: int = 0) -> AcousticChannel:
-        ch = self.resolved["channel"]
         return AcousticChannel(
             distance=distance,
-            speed_of_sound=float(ch["speed_of_sound_mps"]),
-            attenuation_exponent=float(ch["attenuation_exponent"]),
-            noise_std=float(ch["noise_std"]),
-            multipath=tuple((float(d), float(g)) for d, g in ch["multipath"]),
+            speed_of_sound=_read(self.resolved, "channel.speed_of_sound_mps"),
+            attenuation_exponent=_read(self.resolved, "channel.attenuation_exponent"),
+            noise_std=_read(self.resolved, "channel.noise_std"),
+            multipath=_read(self.resolved, "channel.multipath",
+                            lambda echoes: tuple((float(d), float(g))
+                                                 for d, g in echoes)),
             rng_seed=self.rng_seed + seed_offset,
-            interpolate_delays=bool(ch["interpolate_delays"]),
+            interpolate_delays=bool(self.resolved["channel"]["interpolate_delays"]),
         )
 
     def sweep_array(self, n_elements: int) -> ArraySpec:
-        s = self.resolved["sweep"]
         return ArraySpec(
             n_elements=int(n_elements),
-            spacing=float(s["spacing_wavelengths"]),
-            element_gain=float(s["element_gain_dbi"]),
+            spacing=_read(self.resolved, "sweep.spacing_wavelengths"),
+            element_gain=_read(self.resolved, "sweep.element_gain_dbi"),
         )
 
     def grid(self) -> np.ndarray:
-        return _grid(self.resolved["grid"], "grid")
+        return _grid(self.resolved, "grid")
 
     def range_grid(self) -> np.ndarray:
-        return _grid(self.resolved["range_grid"], "range_grid")
+        return _grid(self.resolved, "range_grid")
 
 
 def _hash_config(resolved: dict, components: tuple[ComponentPower, ...],

@@ -10,8 +10,12 @@ With a one-bit tag the beacon never hears the audio: the comparator bits
 reach it only as the FSK square wave the tag reflects.  The beacon locates
 the slice with one matched filter that scores that reflection against the
 reflection each window of the reference chirp would produce, at every lag
-at once through a few FFT cross-correlations, then rescores the best lags
-exactly.
+at once, then rescores the best lags exactly.  The scan is an overlap-save
+block correlation: the reference side is cut into overlapping blocks whose
+FFTs are kept per config, and each block's inverse FFT yields every lag
+whose window fits inside it.  The block size follows the capture length
+alone, about four windows, so a short capture never pays for FFTs over the
+whole reference.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from .signals import (
     ChirpSpec,
     FskConfig,
     _carrier_phase,
+    _readonly,
     fft_size,
     fsk_modulate,
     gen_chirp,
@@ -228,30 +233,51 @@ def _backscatter_reference(chirp: ChirpSpec, reach: int, m: int,
                            fsk: FskConfig, threshold: float) -> tuple:
     """The beacon side of the one-bit matched filter, built once per config.
 
-    Returns ``(reference, ref_bits, size, lags, tones)``: the first ``reach``
-    samples of ``chirp`` (at the RF rate), their comparator bits, the FFT
-    size, the number of lags an ``m``-sample window can take, and for each
-    harmonic h in ``HARMONICS`` the pair ``(fft(exp(2 pi i h P), size),
-    conj(exp(2 pi i h P[:lags])))``, with ``P`` the carrier phase
-    ``fsk_modulate`` reaches at each reference sample.  Only the last config
-    is kept, about 15 MB at the defaults; every array is read-only, so no
-    exchange can change what a later one reads.
+    Returns ``(reference, ref_bits, size, step, lags, tones)``: the first
+    ``reach`` samples of ``chirp`` (at the RF rate), their comparator bits,
+    the block FFT size, the lags between block starts, the number of lags an
+    ``m``-sample window can take, and for each harmonic h in ``HARMONICS``
+    the pair ``(blocks, conj(exp(2 pi i h P[:lags])))``, with ``P`` the
+    carrier phase ``fsk_modulate`` reaches at each reference sample.  Row b
+    of ``blocks`` is the ``size``-point FFT of ``exp(2 pi i h P)`` from
+    sample ``b * step`` on, zero-padded past the end.  The block size
+    follows the capture length alone: ``size = min(fft_size(4 m),
+    fft_size(n))``, so a capture that spans a quarter of the reference or
+    more is scanned in one block.  Only the last config is kept, about
+    17 MB at the defaults; every array is read-only, so no exchange can
+    change what a later one reads.
     """
     reference = gen_chirp(chirp, reach)
     ref_bits = one_bit_quantize(reference, threshold)
     n = len(ref_bits)
     lags = n - m + 1
     phase = _carrier_phase(ref_bits, fsk)
-    # circular correlation over size >= n never wraps a window that fits
-    size = fft_size(n)
+    # a circular correlation over a block of size samples leaves the first
+    # step lags unwrapped: their windows end inside the block
+    size = min(fft_size(4 * m), fft_size(n))
+    step = size - m + 1
     tones = []
     for h in HARMONICS:
         tone = np.exp(2j * np.pi * h * phase)
-        spectrum, rotation = np.fft.fft(tone, size), np.conj(tone[:lags])
-        spectrum.setflags(write=False)
-        rotation.setflags(write=False)
-        tones.append((spectrum, rotation))
-    return reference, ref_bits, size, lags, tuple(tones)
+        blocks = np.array([np.fft.fft(tone[start:start + size], size)
+                           for start in range(0, lags, step)])
+        tones.append((_readonly(blocks), _readonly(np.conj(tone[:lags]))))
+    return reference, ref_bits, size, step, lags, tuple(tones)
+
+
+def _scan(matched: tuple, rfz: np.ndarray) -> np.ndarray:
+    """Square-wave replica correlation of the centred reflection ``rfz`` at
+    every lag, truncated to ``HARMONICS``, by overlap-save blocks."""
+    _, _, size, step, lags, tones = matched
+    rf_spec = np.conj(np.fft.fft(rfz, size))
+    score = np.zeros(lags)
+    for h, (blocks, rotation) in zip(HARMONICS, tones):
+        for start, spectrum in zip(range(0, lags, step), blocks):
+            kept = slice(start, min(start + step, lags))
+            corr = np.fft.ifft(spectrum * rf_spec)[:kept.stop - start]
+            # the square wave is 4/pi times the sum of sin(2 pi h theta) / h
+            score[kept] += (rotation[kept] * corr).imag / h
+    return score
 
 
 def _locate_backscatter(matched: tuple, captured, fsk: FskConfig,
@@ -272,25 +298,19 @@ def _locate_backscatter(matched: tuple, captured, fsk: FskConfig,
 
     Everything on the reference side depends only on the config and comes
     in ``matched`` from ``_backscatter_reference``: the comparator bits, the
-    tones' FFTs and their start-phase rotations.  Per exchange this quantizes
-    and modulates the capture, takes one forward FFT of it and one inverse
-    FFT per harmonic, and rescores the best lags.
+    tones' block FFTs and their start-phase rotations.  Per exchange this
+    quantizes and modulates the capture, scores every lag with ``_scan``
+    and rescores the best lags.
     """
-    _, ref_bits, size, lags, tones = matched
+    ref_bits = matched[1]
     tag_bits = one_bit_quantize(captured, threshold)
     rf = fsk_modulate(tag_bits, fsk)
     rfz = rf.samples - rf.samples.mean()
     erf2 = float(np.dot(rfz, rfz))
     m = len(tag_bits)
+    score = _scan(matched, rfz)
 
-    rf_spec = np.conj(np.fft.fft(rfz, size))
-    score = np.zeros(lags)
-    for h, (spectrum, rotation) in zip(HARMONICS, tones):
-        corr = np.fft.ifft(spectrum * rf_spec)[:lags]
-        # the square wave is 4/pi times the sum of sin(2 pi h theta) / h
-        score += (rotation * corr).imag / h
-
-    take = min(RESCORED_LAGS, lags)
+    take = min(RESCORED_LAGS, len(score))
     best_lag, best_score = 0, -np.inf
     for k in np.sort(np.argpartition(score, -take)[-take:]):
         # through the modulator, so a perfect match is exactly 1.0

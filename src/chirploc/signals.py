@@ -310,6 +310,11 @@ def xcorr_offset(reference: Waveform, segment: Waveform) -> tuple[float, float]:
         raise ParameterError(
             f"segment ({m} samples) is longer than reference ({n} samples)"
         )
+    # Pearson scores ignore scale, so one power of two that brings the largest
+    # |sample| into [1, 2) rescales both exactly and keeps every energy finite
+    e = math.frexp(max(np.abs(x).max(), np.abs(y).max()))[1] - 1
+    if e:
+        x, y = np.ldexp(x, -e), np.ldexp(y, -e)
 
     yz = y - y.mean()
     ey2 = float(np.dot(yz, yz))

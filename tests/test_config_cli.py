@@ -516,12 +516,28 @@ def test_sweep_runtime_error_exits_three(capsys):
     ("sweep", "sweep.tag_angles_deg=5"),
     ("sweep", 'sweep.n_elements=["x"]'),
     ("charge-curve", "grid.d_step_m=0"),
+    ("charge-curve", "link.p_t_dbm=abc"),
     ("range", "range_grid.d_step_m=0"),
 ])
 def test_malformed_values_exit_two(capsys, command, assignment):
     code, out, err = run_cli(capsys, command, "--set", assignment)
     assert code == 2
     assert err.startswith("config error:")
+    assert assignment.partition("=")[0] in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("command,assignment,message", [
+    ("size-buffer", "chirp.f_start_hz=abc",
+     "chirp.f_start_hz: could not convert string to float: 'abc'"),
+    ("sweep", "sweep.tag_angles_deg=5",
+     "sweep.tag_angles_deg: 'int' object is not iterable"),
+])
+def test_malformed_value_errors_name_the_key(capsys, command, assignment,
+                                             message):
+    code, out, err = run_cli(capsys, command, "--set", assignment)
+    assert code == 2
+    assert err == f"config error: {message}\n"
     assert out == ""
 
 

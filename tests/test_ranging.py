@@ -26,6 +26,7 @@ from chirploc import (
     simulate_ranging,
     trilaterate,
 )
+from chirploc.signals import _carrier_phase
 
 C = 343.0
 FS = 192e3
@@ -466,11 +467,56 @@ def test_cached_reference_side_is_read_only():
     key = (spec, 6001, 1000, FSK, 0.0)
     matched = ranging._backscatter_reference(*key)
     assert ranging._backscatter_reference(*key) is matched
-    reference, ref_bits, size, lags, tones = matched
-    assert (len(reference), size, lags) == (6001, ranging.fft_size(6001), 5002)
+    reference, ref_bits, size, step, lags, tones = matched
+    # a 1000-sample window: blocks of fft_size(4000) samples, 3001 lags apart
+    assert (len(reference), size, step, lags) == (6001, 4000, 3001, 5002)
+    assert all(blocks.shape == (2, 4000) for blocks, _ in tones)
     arrays = [reference.samples, ref_bits.bits,
               *(array for pair in tones for array in pair)]
     assert len(arrays) == 2 + 2 * len(ranging.HARMONICS)
     for array in arrays:
         with pytest.raises(ValueError):
             array[0] = 0
+
+
+# four blocks, the last one partial: 10002 lags, 3001 to a block
+BLOCKED_TIMELINE = dataclasses.replace(SHORT_TIMELINE, wakeup_time=0.001)
+# a window over a quarter of the reference: one block of fft_size(n) samples
+ONE_BLOCK_TIMELINE = dataclasses.replace(SHORT_TIMELINE,
+                                         capture_duration=0.0005)
+
+
+@pytest.mark.parametrize("timeline, n_blocks", [
+    (BLOCKED_TIMELINE, 4), (ONE_BLOCK_TIMELINE, 1)], ids=["four", "one"])
+def test_blocked_scan_matches_a_full_length_scan(timeline, n_blocks):
+    rate = FSK.sample_rate
+    m = ReceiveWindow(timeline.wakeup_time, timeline.capture_duration,
+                      rate).n_samples
+    reach = round(timeline.wakeup_delay * rate) + m + 1
+    spec = dataclasses.replace(SHORT_CHIRP, sample_rate=rate)
+    matched = ranging._backscatter_reference(spec, reach, m, FSK, 0.0)
+    _, ref_bits, size, step, lags, tones = matched
+    assert len(tones[0][0]) == n_blocks == -(-lags // step)
+
+    ch = AcousticChannel(distance=0.15, noise_std=0.05, rng_seed=7)
+    window = _captured_full_chirp(SHORT_CHIRP, ch, timeline, rate)
+    rf = fsk_modulate(one_bit_quantize(window), FSK).samples
+    rfz = rf - rf.mean()
+    score = ranging._scan(matched, rfz)
+
+    # the oracle: one circular correlation over the whole reference
+    full = ranging.fft_size(len(ref_bits))
+    phase = _carrier_phase(ref_bits, FSK)
+    rf_spec = np.conj(np.fft.fft(rfz, full))
+    expected = np.zeros(lags)
+    for h in ranging.HARMONICS:
+        tone = np.exp(2j * np.pi * h * phase)
+        corr = np.fft.ifft(np.fft.fft(tone, full) * rf_spec)[:lags]
+        expected += (np.conj(tone[:lags]) * corr).imag / h
+
+    assert np.max(np.abs(score - expected)) < 1e-9
+    take = ranging.RESCORED_LAGS
+    assert (set(np.argpartition(score, -take)[-take:])
+            == set(np.argpartition(expected, -take)[-take:]))
+    if n_blocks == 1:
+        assert np.array_equal(score, expected)

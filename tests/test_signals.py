@@ -1,6 +1,7 @@
 """DSP core: chirp synthesis, quantization, FSK, correlation offsets."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -322,9 +323,14 @@ def test_xcorr_one_bit_flips_keep_lag():
                 min_size=1, max_size=128))
 @settings(max_examples=60)
 @example(samples=[0.0, 3.462314603717685e-92])  # energy product underflows
+@example(samples=[0.0, 1e200])  # energy overflows unscaled
+@example(samples=[1.5e308, -1.7e308, 3.0])
+@example(samples=[0.0, 5e-324])  # subnormal only
 def test_xcorr_self_correlation_is_exactly_unity(samples):
     w = Waveform(np.array(samples), 48e3)
-    assert xcorr_offset(w, w) == (0.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert xcorr_offset(w, w) == (0.0, 1.0)
 
 
 @given(scale=st.floats(1e-6, 1e6), k=st.integers(0, 400))
