@@ -17,7 +17,7 @@ from typing import Any
 
 import numpy as np
 
-from .channel import AcousticChannel
+from .channel import AcousticChannel, ReceiveWindow
 from .energy import (
     ComponentPower,
     HarvesterSpec,
@@ -222,6 +222,16 @@ class ScenarioConfig:
             freq1=_read(resolved, "fsk.freq1_hz"),
             sample_rate=_read(resolved, "fsk.sample_rate_hz"),
         )
+        # each mode samples the capture at its own rate; an empty capture
+        # has nothing to locate
+        for key, rate in (("chirp.sample_rate_hz", chirp.sample_rate),
+                          ("fsk.sample_rate_hz", fsk.sample_rate)):
+            window = ReceiveWindow(timeline.wakeup_time,
+                                   timeline.capture_duration, rate)
+            if window.n_samples == 0:
+                raise ConfigError(
+                    f"timeline.capture_duration_s ({timeline.capture_duration})"
+                    f" holds no sample at {key} = {rate}")
 
         if resolved["components_file"]:
             components = _read(resolved, "components_file",

@@ -15,7 +15,8 @@ block correlation: the reference side is cut into overlapping blocks whose
 FFTs are kept per config, and each block's inverse FFT yields every lag
 whose window fits inside it.  The block size follows the capture length
 alone, about four windows, so a short capture never pays for FFTs over the
-whole reference.
+whole reference.  Exact rescoring builds the shortlisted replicas a block
+of rows at a time, and a block holds no more samples than a scan block.
 """
 
 from __future__ import annotations
@@ -29,11 +30,12 @@ import numpy as np
 from .channel import AcousticChannel, ReceiveWindow, propagate_acoustic, sample_window
 from .errors import ConvergenceError, GeometryError, ParameterError, RangeWindowError
 from .signals import (
-    BitStream,
     ChirpSpec,
     FskConfig,
     _carrier_phase,
+    _cycles_per_sample,
     _readonly,
+    _square_wave,
     fft_size,
     fsk_modulate,
     gen_chirp,
@@ -293,14 +295,17 @@ def _locate_backscatter(matched: tuple, captured, fsk: FskConfig,
     then rotated back by its own start phase ``P[k]``.  Every replica is a
     balanced carrier, so its energy is the window length to within a few
     samples and the scan ranks lags by correlation alone.  The best lags
-    are rescored exactly through the modulator, so a perfect match scores
-    exactly 1.0 and the truncated series never decides the answer.
+    are rescored exactly against replicas that ``_replicas`` builds bit for
+    bit as the modulator would, so a perfect match scores exactly 1.0 and
+    the truncated series never decides the answer.  Ties go to the smallest
+    lag.
 
     Everything on the reference side depends only on the config and comes
     in ``matched`` from ``_backscatter_reference``: the comparator bits, the
     tones' block FFTs and their start-phase rotations.  Per exchange this
     quantizes and modulates the capture, scores every lag with ``_scan``
-    and rescores the best lags.
+    and rescores the best lags in blocks of ``max(1, size // m)`` rows,
+    ``size`` being the scan's block size.
     """
     ref_bits = matched[1]
     tag_bits = one_bit_quantize(captured, threshold)
@@ -311,14 +316,36 @@ def _locate_backscatter(matched: tuple, captured, fsk: FskConfig,
     score = _scan(matched, rfz)
 
     take = min(RESCORED_LAGS, len(score))
+    rows = np.sort(np.argpartition(score, -take)[-take:])
     best_lag, best_score = 0, -np.inf
-    for k in np.sort(np.argpartition(score, -take)[-take:]):
-        # through the modulator, so a perfect match is exactly 1.0
-        bits = BitStream(ref_bits.bits[k:k + m], ref_bits.bit_rate)
-        exact = pearson_window(fsk_modulate(bits, fsk).samples, 0, rfz, erf2)
-        if exact > best_score:
-            best_lag, best_score = int(k), exact
+    for block, replicas in _replicas(matched, rows, m, fsk):
+        for k, replica in zip(block, replicas):
+            exact = pearson_window(replica, 0, rfz, erf2)
+            if exact > best_score:
+                best_lag, best_score = int(k), exact
     return best_lag / ref_bits.bit_rate, best_score
+
+
+def _replicas(matched: tuple, rows: np.ndarray, m: int, fsk: FskConfig):
+    """Yield ``(block, replicas)`` over consecutive blocks of ``rows``.
+
+    Row i of ``replicas`` is ``fsk_modulate`` of the ``m`` reference bits
+    from lag ``block[i]`` on, bit for bit.  The reference bits run at the RF
+    sample rate, so each bit is one sample and a replica's phase is the
+    running sum of the per-bit increments before each sample, accumulated
+    row by row in the modulator's order; bit ``m - 1`` is never read.  A
+    block holds at most ``max(1, size // m)`` rows, about one scan block of
+    samples.
+    """
+    ref_bits, size = matched[1], matched[2]
+    per_block = max(1, size // m)
+    windows = np.lib.stride_tricks.sliding_window_view(ref_bits.bits, m - 1)
+    phase = np.zeros((min(per_block, len(rows)), m))
+    for start in range(0, len(rows), per_block):
+        block = rows[start:start + per_block]
+        np.cumsum(_cycles_per_sample(windows[block], fsk), axis=1,
+                  out=phase[:len(block), 1:])
+        yield block, _square_wave(phase[:len(block)])
 
 
 def trilaterate(

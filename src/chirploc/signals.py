@@ -196,13 +196,21 @@ def fsk_modulate(bits: BitStream, cfg: FskConfig) -> Waveform:
     """
     if len(bits) == 0:
         return Waveform(np.zeros(0), cfg.sample_rate, 0.0)
-    # the sample is high during the first half of each carrier cycle.  The
-    # half-open comparison keeps the sign deterministic even when a cycle
-    # boundary lands exactly on a sample, which happens whenever the tone
-    # divides the sample rate.
-    phase = _carrier_phase(bits, cfg)
-    samples = np.where(np.mod(phase, 1.0) < 0.5, 1.0, -1.0)
+    samples = _square_wave(_carrier_phase(bits, cfg))
     return Waveform(samples, cfg.sample_rate, 0.0)
+
+
+def _square_wave(phase: np.ndarray) -> np.ndarray:
+    """The +/-1 carrier at ``phase`` cycles: +1 where floor(2 phase) is even.
+
+    The sample is high during the first half of each carrier cycle, and the
+    half-open rule keeps the sign deterministic even when a cycle boundary
+    lands exactly on a sample, which happens whenever the tone divides the
+    sample rate.  For 0 <= phase < 2**62 this is exactly
+    ``np.mod(phase, 1) < 0.5``: doubling is exact and truncation is the
+    floor, so no ``np.mod`` is needed.
+    """
+    return 1.0 - 2.0 * ((2.0 * phase).astype(np.int64) & 1)
 
 
 def _carrier_phase(bits: BitStream, cfg: FskConfig) -> np.ndarray:
@@ -211,9 +219,14 @@ def _carrier_phase(bits: BitStream, cfg: FskConfig) -> np.ndarray:
     Accumulating it keeps the carrier continuous across bit boundaries.
     """
     edges = _bit_boundaries(len(bits), cfg.sample_rate / bits.bit_rate)
-    per_bit = np.where(bits.bits, cfg.freq1, cfg.freq0) / cfg.sample_rate
-    cycles = np.repeat(per_bit, np.diff(edges))
+    cycles = np.repeat(_cycles_per_sample(bits.bits, cfg), np.diff(edges))
     return np.concatenate(([0.0], np.cumsum(cycles[:-1])))
+
+
+def _cycles_per_sample(bits: np.ndarray, cfg: FskConfig) -> np.ndarray:
+    """Carrier cycles per output sample while each bit is on the air."""
+    return np.where(bits, cfg.freq1 / cfg.sample_rate,
+                    cfg.freq0 / cfg.sample_rate)
 
 
 def fft_size(n: int) -> int:

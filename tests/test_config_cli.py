@@ -541,6 +541,25 @@ def test_malformed_value_errors_name_the_key(capsys, command, assignment,
     assert out == ""
 
 
+@pytest.mark.parametrize("sets, rate_key", [
+    # 0.02 samples at the audio rate, 1 at the RF rate
+    (["timeline.capture_duration_s=1e-7"], "chirp.sample_rate_hz"),
+    # 0.8 samples at a 20 MHz audio rate, 0.4 at the RF rate
+    (["timeline.capture_duration_s=4e-8", "chirp.sample_rate_hz=2e7"],
+     "fsk.sample_rate_hz"),
+], ids=["audio-rate", "rf-rate"])
+def test_capture_without_a_sample_is_rejected_at_load(capsys, sets, rate_key):
+    with pytest.raises(ConfigError, match="timeline.capture_duration_s") as exc:
+        load_config(sets=sets)
+    assert rate_key in str(exc.value)
+    args = [arg for assignment in sets for arg in ("--set", assignment)]
+    code, out, err = run_cli(capsys, "range", *args)
+    assert code == 2
+    assert err.startswith("config error: timeline.capture_duration_s")
+    assert rate_key in err
+    assert out == ""
+
+
 def test_unknown_set_key_exits_two(capsys):
     code, _, err = run_cli(capsys, "charge-curve", "--set", "warp=9")
     assert code == 2

@@ -1,6 +1,7 @@
 """End-to-end ranging pipeline and least-squares position solving."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from chirploc import (
     simulate_ranging,
     trilaterate,
 )
+from chirploc.config import load_config
 from chirploc.signals import _carrier_phase
 
 C = 343.0
@@ -372,22 +374,32 @@ SHORT_TIMELINE = RangingTimeline(chirp_start=0.0, wakeup_time=0.0005,
                                  capture_duration=0.0001)
 
 
-@pytest.fixture(scope="module")
-def short_replicas():
-    """The exact reflection replica at every lag the locator searches.
+# the lags the locator searches end one sample past the zero-distance lag
+SHORT_LAGS = int(round(SHORT_TIMELINE.wakeup_delay * FSK.sample_rate)) + 2
 
-    The search ends one sample past the zero-distance lag; each replica goes
-    through ``fsk_modulate`` on its own, with no shared phase.
-    """
+
+def _modulated_replicas(m):
+    """The exact m-sample reflection replica at every lag the locator
+    searches, each through ``fsk_modulate`` on its own, with no shared
+    phase."""
     rate = FSK.sample_rate
     spec = dataclasses.replace(SHORT_CHIRP, sample_rate=rate)
     ref_bits = one_bit_quantize(gen_chirp(spec)).bits
-    m = int(round(SHORT_TIMELINE.capture_duration * rate))
-    lags = int(round(SHORT_TIMELINE.wakeup_delay * rate)) + 2
-    replicas = np.array([
+    return np.array([
         fsk_modulate(BitStream(ref_bits[k:k + m], rate), FSK).samples
-        for k in range(lags)])
-    return replicas - replicas.mean(axis=1, keepdims=True)
+        for k in range(SHORT_LAGS)])
+
+
+@pytest.fixture(scope="module")
+def short_modulated():
+    m = int(round(SHORT_TIMELINE.capture_duration * FSK.sample_rate))
+    return _modulated_replicas(m)
+
+
+@pytest.fixture(scope="module")
+def short_replicas(short_modulated):
+    """The modulator's replicas, centred."""
+    return short_modulated - short_modulated.mean(axis=1, keepdims=True)
 
 
 @pytest.mark.parametrize("distance, interpolate", [
@@ -410,6 +422,48 @@ def test_backscatter_locator_matches_exhaustive_replica_oracle(
     lag = int(round(r.lag * rate))
     assert lag == int(np.argmax(scores))
     assert r.peak == pytest.approx(scores[lag], abs=1e-12)
+
+
+@pytest.mark.parametrize("m", [1, 2, 1000])
+def test_row_block_replicas_match_the_modulator(short_modulated, m):
+    rate = FSK.sample_rate
+    reach = round(SHORT_TIMELINE.wakeup_delay * rate) + m + 1
+    spec = dataclasses.replace(SHORT_CHIRP, sample_rate=rate)
+    matched = ranging._backscatter_reference(spec, reach, m, FSK, 0.0)
+    size, lags = matched[2], matched[4]
+    expected = (short_modulated if short_modulated.shape[1] == m
+                else _modulated_replicas(m))
+    assert expected.shape == (lags, m) == (SHORT_LAGS, m)
+
+    blocks = list(ranging._replicas(matched, np.arange(lags), m, FSK))
+    per_block = max(1, size // m)
+    # every block is full but the last, which is partial
+    assert lags % per_block
+    assert [len(block) for block, _ in blocks] == (
+        [per_block] * (lags // per_block) + [lags % per_block])
+    assert np.array_equal(np.concatenate([b for b, _ in blocks]),
+                          np.arange(lags))
+    got = np.concatenate([replicas for _, replicas in blocks])
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+def test_warm_default_exchange_peaks_under_8_mb():
+    # rescoring every shortlisted lag at once peaked at 12.2 MB
+    cfg = load_config()
+
+    def exchange():
+        simulate_ranging(cfg.chirp, cfg.channel_at(3.2), cfg.timeline,
+                         mode="one-bit-backscatter", fsk=cfg.fsk,
+                         threshold=cfg.comparator_threshold)
+
+    exchange()  # builds the cached reference side
+    tracemalloc.start()
+    try:
+        exchange()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 # ------------------------------------------- reference side kept per config

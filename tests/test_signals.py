@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from chirploc import (
     BitStream,
@@ -19,7 +20,7 @@ from chirploc import (
     one_bit_quantize,
     xcorr_offset,
 )
-from chirploc.signals import _sliding_pearson, pearson_window
+from chirploc.signals import _sliding_pearson, _square_wave, pearson_window
 from fsk_demod import fsk_demodulate
 
 DEFAULT_CHIRP = ChirpSpec(f_start=20e3, f_stop=40e3, duration=0.050,
@@ -263,6 +264,31 @@ def test_fsk_rejects_too_short_bit_period():
     w = fsk_modulate(BitStream(np.zeros(10, dtype=np.uint8), 192e3), cfg)
     with pytest.raises(ParameterError):
         fsk_demodulate(w, cfg, bit_rate=600e3)
+
+
+def _near_half_cycle(k: int, side: int) -> float:
+    """k / 2, or the float one ulp below or above it (never below 0)."""
+    half = k / 2
+    return float(np.nextafter(half, (0.0, half, np.inf)[side]))
+
+
+PHASES = st.one_of(
+    st.floats(0.0, 1e6),
+    st.builds(_near_half_cycle, st.integers(0, 2 * 10**6), st.integers(0, 2)),
+)
+
+
+@given(arrays(np.float64, array_shapes(min_dims=1, max_dims=2, max_side=16),
+              elements=PHASES))
+@settings(max_examples=200)
+@example(np.array([[0.0, 0.5, 1.0, 1.5],
+                   [np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0),
+                    np.nextafter(1e6, 0.0), 1e6]]))
+def test_square_wave_matches_the_mod_rule(phase):
+    expected = np.where(np.mod(phase, 1.0) < 0.5, 1.0, -1.0)
+    got = _square_wave(phase)
+    assert got.shape == phase.shape
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 def test_fsk_config_rejects_equal_or_far_tones():
