@@ -15,13 +15,18 @@ block correlation: the reference side is cut into overlapping blocks whose
 FFTs are kept per config, and each block's inverse FFT yields every lag
 whose window fits inside it.  The block size follows the capture length
 alone, about four windows, so a short capture never pays for FFTs over the
-whole reference.  Exact rescoring builds the shortlisted replicas a block
-of rows at a time, and a block holds no more samples than a scan block.
+whole reference.  The blocks run on the CPUs the process may use, with no
+setting, and the scores do not depend on that count.  Exact rescoring
+builds the shortlisted replicas a block of rows at a time, and a block
+holds no more samples than a scan block.  Each exchange synthesizes,
+propagates and adds noise to the chirp only up to its window's end.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -171,11 +176,14 @@ def simulate_ranging(
 
     Only the part of the chirp a capture can reach is synthesized: the first
     ``wakeup_delay + capture_duration`` seconds, plus one sample for an
-    interpolated window edge.  Each kept sample, and each noise draw on it,
-    is what the full chirp would give, so the captured window is identical;
-    the lags searched end one sample past the zero-distance lag.
+    interpolated window edge; the lags searched end one sample past the
+    zero-distance lag.  Only the part this tag's window reads, up to its
+    end, is propagated and has noise added.  Each kept sample, and each
+    noise draw on it, is what the full chirp would give, so the captured
+    window is identical.
 
     Raises:
+        ParameterError: if the capture holds no sample at the mode's rate.
         RangeWindowError: if the capture window cannot land fully inside the
             chirp at this distance.
     """
@@ -201,6 +209,11 @@ def simulate_ranging(
     # observable at the RF sampling resolution
     rate = chirp.sample_rate if mode == "ideal-audio" else fsk.sample_rate
     window = ReceiveWindow(timeline.wakeup_time, timeline.capture_duration, rate)
+    if window.n_samples == 0:
+        raise ParameterError(
+            f"capture_duration {timeline.capture_duration} s holds no sample "
+            f"at the {mode} sample rate of {rate} Hz"
+        )
     # a tag at zero distance starts its window round(wakeup_delay * rate)
     # samples into the chirp, and an interpolated window reads one further
     reach = round(timeline.wakeup_delay * rate) + window.n_samples + 1
@@ -211,9 +224,14 @@ def simulate_ranging(
             dataclasses.replace(chirp, sample_rate=rate), reach,
             window.n_samples, fsk, threshold)
         reference = matched[0]
-    tx = dataclasses.replace(reference, t_origin=timeline.chirp_start)
-    rx = propagate_acoustic(tx, channel)
-    captured = sample_window(rx, window, interpolate=channel.interpolate_delays)
+    # this tag's window reads only samples before ceil(its start) +
+    # n_samples; two more absorb rounding in where the window lands
+    heard = min(len(reference), window.n_samples + 2 + math.ceil(
+        (timeline.wakeup_delay - channel.delay) * rate))
+    tx = dataclasses.replace(reference, samples=reference.samples[:heard],
+                             t_origin=timeline.chirp_start)
+    captured = sample_window(propagate_acoustic(tx, channel), window,
+                             interpolate=channel.interpolate_delays)
 
     if mode == "ideal-audio":
         lag, peak = xcorr_offset(reference, captured)
@@ -269,17 +287,53 @@ def _backscatter_reference(chirp: ChirpSpec, reach: int, m: int,
 
 def _scan(matched: tuple, rfz: np.ndarray) -> np.ndarray:
     """Square-wave replica correlation of the centred reflection ``rfz`` at
-    every lag, truncated to ``HARMONICS``, by overlap-save blocks."""
+    every lag, truncated to ``HARMONICS``, by overlap-save blocks.
+
+    The blocks run on the CPUs the process may use, with no setting.  Of
+    ``workers = min(n_blocks, usable CPUs)``, worker w scans blocks w,
+    w + workers, ... in its own ``size``-point buffer and writes only those
+    blocks' lags, one harmonic after the other in ``HARMONICS`` order.  So
+    every score is summed as a serial pass sums it, and the answer does not
+    depend on the worker count.  Worker 0 is the calling thread, so one
+    worker runs inline, with no pool.
+    """
     _, _, size, step, lags, tones = matched
     rf_spec = np.conj(np.fft.fft(rfz, size))
     score = np.zeros(lags)
-    for h, (blocks, rotation) in zip(HARMONICS, tones):
-        for start, spectrum in zip(range(0, lags, step), blocks):
-            kept = slice(start, min(start + step, lags))
-            corr = np.fft.ifft(spectrum * rf_spec)[:kept.stop - start]
-            # the square wave is 4/pi times the sum of sin(2 pi h theta) / h
-            score[kept] += (rotation[kept] * corr).imag / h
+    starts = range(0, lags, step)
+    workers = min(len(starts), _usable_cpus())
+
+    def scan_blocks(first: int) -> None:
+        buf = np.empty(size, dtype=complex)
+        for b in range(first, len(starts), workers):
+            kept = slice(starts[b], min(starts[b] + step, lags))
+            corr = buf[:kept.stop - kept.start]
+            for h, (blocks, rotation) in zip(HARMONICS, tones):
+                np.multiply(blocks[b], rf_spec, out=buf)
+                np.fft.ifft(buf, out=buf)
+                np.multiply(rotation[kept], corr, out=corr)
+                # the square wave is 4/pi times the sum of sin(2 pi h theta) / h
+                score[kept] += corr.imag / h
+
+    if workers == 1:
+        scan_blocks(0)
+    else:
+        # imported here: the module loads without it, and no pool outlives
+        # the scan
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(workers - 1) as pool:
+            others = pool.map(scan_blocks, range(1, workers))
+            scan_blocks(0)
+            list(others)  # re-raises what a worker raised
     return score
+
+
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _locate_backscatter(matched: tuple, captured, fsk: FskConfig,

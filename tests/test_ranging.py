@@ -1,6 +1,7 @@
 """End-to-end ranging pipeline and least-squares position solving."""
 
 import dataclasses
+import sys
 import tracemalloc
 
 import numpy as np
@@ -159,6 +160,17 @@ def test_close_range_error_for_short_chirp():
     ch = AcousticChannel(distance=0.5)
     with pytest.raises(RangeWindowError):
         simulate_ranging(spec, ch, tl)
+
+
+@pytest.mark.parametrize("mode, rate", [
+    ("ideal-audio", FS), ("one-bit-backscatter", FSK.sample_rate)])
+def test_capture_without_a_sample_is_rejected(mode, rate):
+    # 40 ns holds 0.4 RF samples and 0.008 audio samples
+    tl = RangingTimeline(chirp_start=0.0, wakeup_time=0.020,
+                         capture_duration=4e-8)
+    with pytest.raises(ParameterError, match=f"{rate} Hz"):
+        simulate_ranging(CHIRP, AcousticChannel(distance=2.0), tl, mode=mode,
+                         fsk=FSK)
 
 
 def test_unknown_mode_rejected():
@@ -342,7 +354,12 @@ OFF_GRID_TIMELINE = RangingTimeline(chirp_start=0.0, wakeup_time=0.02000003,
 @pytest.mark.parametrize("timeline, distance", [
     (TIMELINE, 0.0), (TIMELINE, TIMELINE.max_distance(C)),
     (OFF_GRID_TIMELINE, 0.0),
-], ids=["zero", "max", "zero-off-grid"])
+    (TIMELINE, 1.7), (TIMELINE, 4.9),
+    (OFF_GRID_TIMELINE, 1.7), (OFF_GRID_TIMELINE, 4.9),
+    # a flight time of a whole number of RF samples
+    (TIMELINE, C * 49563 / FSK.sample_rate),
+], ids=["zero", "max", "zero-off-grid", "mid", "far", "mid-off-grid",
+        "far-off-grid", "mid-on-grid"])
 @pytest.mark.parametrize("channel_kw", [
     {},
     {"noise_std": 0.05, "rng_seed": 3},
@@ -354,18 +371,28 @@ OFF_GRID_TIMELINE = RangingTimeline(chirp_start=0.0, wakeup_time=0.02000003,
         "noise-echo-interpolated"])
 def test_shortened_reference_captures_the_same_window(monkeypatch, timeline,
                                                       distance, channel_kw):
-    captured = []
+    captured, propagated = [], []
 
     def recording_sample_window(*args, **kwargs):
         captured.append(sample_window(*args, **kwargs))
         return captured[-1]
 
+    def recording_propagate_acoustic(tx, ch):
+        propagated.append(len(tx))
+        return propagate_acoustic(tx, ch)
+
     monkeypatch.setattr(ranging, "sample_window", recording_sample_window)
+    monkeypatch.setattr(ranging, "propagate_acoustic",
+                        recording_propagate_acoustic)
     ch = AcousticChannel(distance=distance, **channel_kw)
     simulate_ranging(CHIRP, ch, timeline, mode="one-bit-backscatter", fsk=FSK)
     full = _captured_full_chirp(CHIRP, ch, timeline, FSK.sample_rate)
     assert captured[0].t_origin == full.t_origin
     assert np.array_equal(captured[0].samples, full.samples)
+    # the chirp is propagated, and noise drawn, only up to the window's end
+    window_end = ((timeline.wakeup_delay - ch.delay) * FSK.sample_rate
+                  + len(full))
+    assert propagated[0] <= window_end + 3
 
 
 # A short chirp, wake-up and capture keep the exhaustive oracle cheap.
@@ -447,8 +474,10 @@ def test_row_block_replicas_match_the_modulator(short_modulated, m):
     assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
-def test_warm_default_exchange_peaks_under_8_mb():
-    # rescoring every shortlisted lag at once peaked at 12.2 MB
+def test_warm_default_exchange_peaks_under_6_mb():
+    # rescoring every shortlisted lag at once peaked at 12.2 MB, and a scan
+    # that allocated its products per block, over the whole propagated
+    # reference, at 6.1 MB
     cfg = load_config()
 
     def exchange():
@@ -463,7 +492,7 @@ def test_warm_default_exchange_peaks_under_8_mb():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8e6
+    assert peak < 6e6
 
 
 # ------------------------------------------- reference side kept per config
@@ -574,3 +603,43 @@ def test_blocked_scan_matches_a_full_length_scan(timeline, n_blocks):
             == set(np.argpartition(expected, -take)[-take:]))
     if n_blocks == 1:
         assert np.array_equal(score, expected)
+
+
+@pytest.mark.parametrize("timeline", [BLOCKED_TIMELINE, ONE_BLOCK_TIMELINE],
+                         ids=["four", "one"])
+def test_scan_is_bit_identical_at_any_worker_count(monkeypatch, timeline):
+    rate = FSK.sample_rate
+    m = ReceiveWindow(timeline.wakeup_time, timeline.capture_duration,
+                      rate).n_samples
+    reach = round(timeline.wakeup_delay * rate) + m + 1
+    spec = dataclasses.replace(SHORT_CHIRP, sample_rate=rate)
+    matched = ranging._backscatter_reference(spec, reach, m, FSK, 0.0)
+    ch = AcousticChannel(distance=0.15, noise_std=0.05, rng_seed=7)
+    window = _captured_full_chirp(SHORT_CHIRP, ch, timeline, rate)
+    rf = fsk_modulate(one_bit_quantize(window), FSK).samples
+    rfz = rf - rf.mean()
+
+    scores = []
+    # switch threads often, so a worker writing outside its own blocks shows
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for cpus in (1, 2, 3, 9):
+            monkeypatch.setattr(ranging, "_usable_cpus", lambda: cpus)
+            scores.append(ranging._scan(matched, rfz).view(np.uint64))
+    finally:
+        sys.setswitchinterval(interval)
+    for score in scores[1:]:
+        assert np.array_equal(score, scores[0])
+
+
+def test_default_exchange_is_equal_at_any_worker_count(monkeypatch):
+    cfg = load_config()
+    ch = dataclasses.replace(cfg.channel_at(3.2), noise_std=0.02)
+    results = []
+    for cpus in (1, 2, 3, 9):
+        monkeypatch.setattr(ranging, "_usable_cpus", lambda: cpus)
+        results.append(simulate_ranging(
+            cfg.chirp, ch, cfg.timeline, mode="one-bit-backscatter",
+            fsk=cfg.fsk, threshold=cfg.comparator_threshold))
+    assert results[1:] == results[:1] * 3
