@@ -15,10 +15,10 @@ block correlation: the reference side is cut into overlapping blocks whose
 FFTs are kept per config, and each block's inverse FFT yields every lag
 whose window fits inside it.  The block size follows the capture length
 alone, about four windows, so a short capture never pays for FFTs over the
-whole reference.  The blocks run on the CPUs the process may use, with no
-setting, and the scores do not depend on that count.  Exact rescoring
-builds the shortlisted replicas a block of rows at a time, and a block
-holds no more samples than a scan block.  Each exchange synthesizes,
+whole reference.  The blocks run on up to two of the CPUs the process may
+use, with no setting, and the scores do not depend on that count.  Exact
+rescoring builds the shortlisted replicas a block of rows at a time, and a
+block holds no more samples than a scan block.  Each exchange synthesizes,
 propagates and adds noise to the chirp only up to its window's end.
 """
 
@@ -27,6 +27,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -64,6 +65,11 @@ MODES = ("ideal-audio", "one-bit-backscatter")
 HARMONICS = (1, 3)
 # Lags the scan hands to exact rescoring: a margin for the dropped harmonics.
 RESCORED_LAGS = 32
+# Most scan blocks in flight at once.  Each holds its own block-sized complex
+# buffer (640 KB at the defaults), so this bounds the scan's memory on any
+# host, and it bounds the threads a CPU quota smaller than the affinity mask
+# leaves competing for one CPU.  Two is the count whose speed-up was measured.
+SCAN_WORKERS = 2
 
 
 @dataclass(frozen=True)
@@ -289,23 +295,31 @@ def _scan(matched: tuple, rfz: np.ndarray) -> np.ndarray:
     """Square-wave replica correlation of the centred reflection ``rfz`` at
     every lag, truncated to ``HARMONICS``, by overlap-save blocks.
 
-    The blocks run on the CPUs the process may use, with no setting.  Of
-    ``workers = min(n_blocks, usable CPUs)``, worker w scans blocks w,
-    w + workers, ... in its own ``size``-point buffer and writes only those
-    blocks' lags, one harmonic after the other in ``HARMONICS`` order.  So
-    every score is summed as a serial pass sums it, and the answer does not
-    depend on the worker count.  Worker 0 is the calling thread, so one
-    worker runs inline, with no pool.
+    The blocks run on the CPUs the process may use, with no setting.  Each
+    of ``workers = min(n_blocks, usable CPUs, SCAN_WORKERS)`` takes the next
+    block no worker has taken, scans it in its own ``size``-point buffer
+    and writes only that block's lags, one harmonic after the other in
+    ``HARMONICS`` order.  So every score is summed as a serial pass sums it,
+    and the answer does not depend on the worker count or on which worker
+    took which block; a worker slowed by its CPU takes fewer blocks.  The
+    calling thread is one worker, so one worker runs inline, with no pool.
     """
     _, _, size, step, lags, tones = matched
     rf_spec = np.conj(np.fft.fft(rfz, size))
     score = np.zeros(lags)
     starts = range(0, lags, step)
-    workers = min(len(starts), _usable_cpus())
+    workers = min(len(starts), _usable_cpus(), SCAN_WORKERS)
 
-    def scan_blocks(first: int) -> None:
+    todo = iter(range(len(starts)))
+    taking = threading.Lock()
+
+    def scan_blocks() -> None:
         buf = np.empty(size, dtype=complex)
-        for b in range(first, len(starts), workers):
+        while True:
+            with taking:  # each block goes to exactly one worker
+                b = next(todo, None)
+            if b is None:
+                return
             kept = slice(starts[b], min(starts[b] + step, lags))
             corr = buf[:kept.stop - kept.start]
             for h, (blocks, rotation) in zip(HARMONICS, tones):
@@ -313,18 +327,20 @@ def _scan(matched: tuple, rfz: np.ndarray) -> np.ndarray:
                 np.fft.ifft(buf, out=buf)
                 np.multiply(rotation[kept], corr, out=corr)
                 # the square wave is 4/pi times the sum of sin(2 pi h theta) / h
-                score[kept] += corr.imag / h
+                np.divide(corr.imag, h, out=corr.imag)
+                score[kept] += corr.imag
 
     if workers == 1:
-        scan_blocks(0)
+        scan_blocks()
     else:
         # imported here: the module loads without it, and no pool outlives
         # the scan
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(workers - 1) as pool:
-            others = pool.map(scan_blocks, range(1, workers))
-            scan_blocks(0)
-            list(others)  # re-raises what a worker raised
+            others = [pool.submit(scan_blocks) for _ in range(workers - 1)]
+            scan_blocks()
+            for other in others:
+                other.result()  # re-raises what a worker raised
     return score
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -474,10 +475,12 @@ def test_row_block_replicas_match_the_modulator(short_modulated, m):
     assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
-def test_warm_default_exchange_peaks_under_6_mb():
+def test_warm_default_exchange_peaks_under_6_mb(monkeypatch):
     # rescoring every shortlisted lag at once peaked at 12.2 MB, and a scan
     # that allocated its products per block, over the whole propagated
-    # reference, at 6.1 MB
+    # reference, at 6.1 MB.  Each scan worker holds its own block buffer, so
+    # the bound is checked on more CPUs than the default config has blocks.
+    monkeypatch.setattr(ranging, "_usable_cpus", lambda: 9)
     cfg = load_config()
 
     def exchange():
@@ -620,6 +623,8 @@ def test_scan_is_bit_identical_at_any_worker_count(monkeypatch, timeline):
     rfz = rf - rf.mean()
 
     scores = []
+    # each block goes to one worker past the cap too
+    monkeypatch.setattr(ranging, "SCAN_WORKERS", 16)
     # switch threads often, so a worker writing outside its own blocks shows
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -637,9 +642,28 @@ def test_default_exchange_is_equal_at_any_worker_count(monkeypatch):
     cfg = load_config()
     ch = dataclasses.replace(cfg.channel_at(3.2), noise_std=0.02)
     results = []
+    monkeypatch.setattr(ranging, "SCAN_WORKERS", 16)
     for cpus in (1, 2, 3, 9):
         monkeypatch.setattr(ranging, "_usable_cpus", lambda: cpus)
         results.append(simulate_ranging(
             cfg.chirp, ch, cfg.timeline, mode="one-bit-backscatter",
             fsk=cfg.fsk, threshold=cfg.comparator_threshold))
     assert results[1:] == results[:1] * 3
+
+
+def test_scan_runs_no_more_workers_than_the_cap(monkeypatch):
+    # each worker holds its own block buffer, so the cap bounds the memory
+    monkeypatch.setattr(ranging, "_usable_cpus", lambda: 9)
+    threads = set()
+    ifft = np.fft.ifft
+
+    def recording_ifft(*args, **kwargs):
+        threads.add(threading.get_ident())
+        return ifft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifft", recording_ifft)
+    cfg = load_config()
+    simulate_ranging(cfg.chirp, cfg.channel_at(3.2), cfg.timeline,
+                     mode="one-bit-backscatter", fsk=cfg.fsk,
+                     threshold=cfg.comparator_threshold)
+    assert 1 <= len(threads) <= ranging.SCAN_WORKERS
