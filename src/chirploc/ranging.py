@@ -10,24 +10,13 @@ With a one-bit tag the beacon never hears the audio: the comparator bits
 reach it only as the FSK square wave the tag reflects.  The beacon locates
 the slice with one matched filter that scores that reflection against the
 reflection each window of the reference chirp would produce, at every lag
-at once, then rescores the best lags exactly.  The scan is an overlap-save
-block correlation: the reference side is cut into overlapping blocks whose
-FFTs are kept per config, and each block's inverse FFT yields every lag
-whose window fits inside it.  The block size follows the capture length
-alone, about four windows, so a short capture never pays for FFTs over the
-whole reference.  The blocks run on up to two of the CPUs the process may
-use, with no setting, and the scores do not depend on that count.  Exact
-rescoring builds the shortlisted replicas a block of rows at a time, and a
-block holds no more samples than a scan block.  Each exchange synthesizes,
-propagates and adds noise to the chirp only up to its window's end.
+at once (``_scan``), then rescores the best lags exactly (``_replica``).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-import os
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -36,6 +25,7 @@ import numpy as np
 from .channel import AcousticChannel, ReceiveWindow, propagate_acoustic, sample_window
 from .errors import ConvergenceError, GeometryError, ParameterError, RangeWindowError
 from .signals import (
+    BitStream,
     ChirpSpec,
     FskConfig,
     _carrier_phase,
@@ -65,11 +55,6 @@ MODES = ("ideal-audio", "one-bit-backscatter")
 HARMONICS = (1, 3)
 # Lags the scan hands to exact rescoring: a margin for the dropped harmonics.
 RESCORED_LAGS = 32
-# Most scan blocks in flight at once.  Each holds its own block-sized complex
-# buffer (640 KB at the defaults), so this bounds the scan's memory on any
-# host, and it bounds the threads a CPU quota smaller than the affinity mask
-# leaves competing for one CPU.  Two is the count whose speed-up was measured.
-SCAN_WORKERS = 2
 
 
 @dataclass(frozen=True)
@@ -295,31 +280,30 @@ def _scan(matched: tuple, rfz: np.ndarray) -> np.ndarray:
     """Square-wave replica correlation of the centred reflection ``rfz`` at
     every lag, truncated to ``HARMONICS``, by overlap-save blocks.
 
-    The blocks run on the CPUs the process may use, with no setting.  Each
-    of ``workers = min(n_blocks, usable CPUs, SCAN_WORKERS)`` takes the next
-    block no worker has taken, scans it in its own ``size``-point buffer
-    and writes only that block's lags, one harmonic after the other in
-    ``HARMONICS`` order.  So every score is summed as a serial pass sums it,
-    and the answer does not depend on the worker count or on which worker
-    took which block; a worker slowed by its CPU takes fewer blocks.  The
-    calling thread is one worker, so one worker runs inline, with no pool.
+    One forward FFT takes the reflection to ``size`` points.  Per block and
+    harmonic, one inverse FFT of its product with the block's tone spectrum
+    yields the block's first ``step`` lags, which are rotated back by their
+    start phases and added into the score.
+
+    The blocks are split two ways: the calling thread scans the even blocks
+    and one pool thread the odd ones, each in its own ``size``-point buffer,
+    so the scan holds two block buffers on any host.  Each writes only its
+    own blocks' lags, one harmonic after the other in ``HARMONICS`` order,
+    so every score is summed as a serial pass sums it and the answer does
+    not depend on the CPUs the process may use.  No thread outlives the call.
     """
+    # imported here: importing it with the module would add several ms to
+    # every command's start-up, and only the one-bit scan uses it
+    from concurrent.futures import ThreadPoolExecutor
+
     _, _, size, step, lags, tones = matched
     rf_spec = np.conj(np.fft.fft(rfz, size))
     score = np.zeros(lags)
     starts = range(0, lags, step)
-    workers = min(len(starts), _usable_cpus(), SCAN_WORKERS)
 
-    todo = iter(range(len(starts)))
-    taking = threading.Lock()
-
-    def scan_blocks() -> None:
+    def scan_blocks(first: int) -> None:
         buf = np.empty(size, dtype=complex)
-        while True:
-            with taking:  # each block goes to exactly one worker
-                b = next(todo, None)
-            if b is None:
-                return
+        for b in range(first, len(starts), 2):
             kept = slice(starts[b], min(starts[b] + step, lags))
             corr = buf[:kept.stop - kept.start]
             for h, (blocks, rotation) in zip(HARMONICS, tones):
@@ -330,26 +314,11 @@ def _scan(matched: tuple, rfz: np.ndarray) -> np.ndarray:
                 np.divide(corr.imag, h, out=corr.imag)
                 score[kept] += corr.imag
 
-    if workers == 1:
-        scan_blocks()
-    else:
-        # imported here: the module loads without it, and no pool outlives
-        # the scan
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(workers - 1) as pool:
-            others = [pool.submit(scan_blocks) for _ in range(workers - 1)]
-            scan_blocks()
-            for other in others:
-                other.result()  # re-raises what a worker raised
+    with ThreadPoolExecutor(1) as pool:
+        odd = pool.submit(scan_blocks, 1)
+        scan_blocks(0)
+        odd.result()  # re-raises what the pool thread raised
     return score
-
-
-def _usable_cpus() -> int:
-    """How many CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 def _locate_backscatter(matched: tuple, captured, fsk: FskConfig,
@@ -365,17 +334,15 @@ def _locate_backscatter(matched: tuple, captured, fsk: FskConfig,
     then rotated back by its own start phase ``P[k]``.  Every replica is a
     balanced carrier, so its energy is the window length to within a few
     samples and the scan ranks lags by correlation alone.  The best lags
-    are rescored exactly against replicas that ``_replicas`` builds bit for
+    are rescored exactly against replicas that ``_replica`` builds bit for
     bit as the modulator would, so a perfect match scores exactly 1.0 and
     the truncated series never decides the answer.  Ties go to the smallest
     lag.
 
     Everything on the reference side depends only on the config and comes
-    in ``matched`` from ``_backscatter_reference``: the comparator bits, the
-    tones' block FFTs and their start-phase rotations.  Per exchange this
+    in ``matched`` from ``_backscatter_reference``.  Per exchange this
     quantizes and modulates the capture, scores every lag with ``_scan``
-    and rescores the best lags in blocks of ``max(1, size // m)`` rows,
-    ``size`` being the scan's block size.
+    and rescores the best ``RESCORED_LAGS`` lags one at a time.
     """
     ref_bits = matched[1]
     tag_bits = one_bit_quantize(captured, threshold)
@@ -386,36 +353,28 @@ def _locate_backscatter(matched: tuple, captured, fsk: FskConfig,
     score = _scan(matched, rfz)
 
     take = min(RESCORED_LAGS, len(score))
-    rows = np.sort(np.argpartition(score, -take)[-take:])
     best_lag, best_score = 0, -np.inf
-    for block, replicas in _replicas(matched, rows, m, fsk):
-        for k, replica in zip(block, replicas):
-            exact = pearson_window(replica, 0, rfz, erf2)
-            if exact > best_score:
-                best_lag, best_score = int(k), exact
+    for k in np.sort(np.argpartition(score, -take)[-take:]):
+        exact = pearson_window(_replica(ref_bits, k, m, fsk), 0, rfz, erf2)
+        if exact > best_score:
+            best_lag, best_score = int(k), exact
     return best_lag / ref_bits.bit_rate, best_score
 
 
-def _replicas(matched: tuple, rows: np.ndarray, m: int, fsk: FskConfig):
-    """Yield ``(block, replicas)`` over consecutive blocks of ``rows``.
+def _replica(ref_bits: BitStream, k: int, m: int,
+             fsk: FskConfig) -> np.ndarray:
+    """``fsk_modulate`` of the ``m`` reference bits from lag ``k`` on, bit
+    for bit.
 
-    Row i of ``replicas`` is ``fsk_modulate`` of the ``m`` reference bits
-    from lag ``block[i]`` on, bit for bit.  The reference bits run at the RF
-    sample rate, so each bit is one sample and a replica's phase is the
-    running sum of the per-bit increments before each sample, accumulated
-    row by row in the modulator's order; bit ``m - 1`` is never read.  A
-    block holds at most ``max(1, size // m)`` rows, about one scan block of
-    samples.
+    The reference bits run at the RF sample rate, so each bit is one sample
+    and the replica's phase is the running sum of the per-bit increments
+    before each sample, accumulated in the modulator's order; bit
+    ``k + m - 1`` is never read.
     """
-    ref_bits, size = matched[1], matched[2]
-    per_block = max(1, size // m)
-    windows = np.lib.stride_tricks.sliding_window_view(ref_bits.bits, m - 1)
-    phase = np.zeros((min(per_block, len(rows)), m))
-    for start in range(0, len(rows), per_block):
-        block = rows[start:start + per_block]
-        np.cumsum(_cycles_per_sample(windows[block], fsk), axis=1,
-                  out=phase[:len(block), 1:])
-        yield block, _square_wave(phase[:len(block)])
+    phase = np.zeros(m)
+    np.cumsum(_cycles_per_sample(ref_bits.bits[k:k + m - 1], fsk),
+              out=phase[1:])
+    return _square_wave(phase)
 
 
 def trilaterate(

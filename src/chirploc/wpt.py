@@ -124,8 +124,12 @@ class ChargeScenario:
 
 def friis_received_power(link: RfLink) -> float:
     """Received power in dBm under free-space (Friis) propagation."""
-    path = 20.0 * math.log10(4.0 * math.pi * link.distance / link.wavelength)
-    return link.p_t + link.g_t + link.g_r - path
+    return link.p_t + link.g_t + link.g_r - _path_loss_db(link)
+
+
+def _path_loss_db(link: RfLink) -> float:
+    """Free-space path loss of the link in dB: ``20 log10(4 pi d / lambda)``."""
+    return 20.0 * math.log10(4.0 * math.pi * link.distance / link.wavelength)
 
 
 def harvest_power(link: RfLink, harvester: HarvesterSpec) -> float:
@@ -213,7 +217,7 @@ def beam_sweep_precharge(
         raise ParameterError(f"sweep step must be in (0, 180], got {step}")
     angles = inclusive_grid(-90.0, 90.0, step)
     target = buffer_energy(capacitance, harvester.v_chrdy, 0.0)
-    path = 20.0 * math.log10(4.0 * math.pi * link.distance / link.wavelength)
+    path = _path_loss_db(link)
 
     powers = []
     for steer in angles:

@@ -453,49 +453,54 @@ def test_backscatter_locator_matches_exhaustive_replica_oracle(
 
 
 @pytest.mark.parametrize("m", [1, 2, 1000])
-def test_row_block_replicas_match_the_modulator(short_modulated, m):
+def test_replicas_match_the_modulator_at_every_lag(short_modulated, m):
     rate = FSK.sample_rate
     reach = round(SHORT_TIMELINE.wakeup_delay * rate) + m + 1
     spec = dataclasses.replace(SHORT_CHIRP, sample_rate=rate)
     matched = ranging._backscatter_reference(spec, reach, m, FSK, 0.0)
-    size, lags = matched[2], matched[4]
+    ref_bits, lags = matched[1], matched[4]
     expected = (short_modulated if short_modulated.shape[1] == m
                 else _modulated_replicas(m))
     assert expected.shape == (lags, m) == (SHORT_LAGS, m)
 
-    blocks = list(ranging._replicas(matched, np.arange(lags), m, FSK))
-    per_block = max(1, size // m)
-    # every block is full but the last, which is partial
-    assert lags % per_block
-    assert [len(block) for block, _ in blocks] == (
-        [per_block] * (lags // per_block) + [lags % per_block])
-    assert np.array_equal(np.concatenate([b for b, _ in blocks]),
-                          np.arange(lags))
-    got = np.concatenate([replicas for _, replicas in blocks])
+    got = np.array([ranging._replica(ref_bits, k, m, FSK)
+                    for k in range(lags)])
     assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
-def test_warm_default_exchange_peaks_under_6_mb(monkeypatch):
+def _default_exchange(cfg):
+    """The one-bit exchange at 3.2 m under ``cfg``."""
+    return simulate_ranging(cfg.chirp, cfg.channel_at(3.2), cfg.timeline,
+                            mode="one-bit-backscatter", fsk=cfg.fsk,
+                            threshold=cfg.comparator_threshold)
+
+
+def test_warm_default_exchange_peaks_under_6_mb():
     # rescoring every shortlisted lag at once peaked at 12.2 MB, and a scan
     # that allocated its products per block, over the whole propagated
-    # reference, at 6.1 MB.  Each scan worker holds its own block buffer, so
-    # the bound is checked on more CPUs than the default config has blocks.
-    monkeypatch.setattr(ranging, "_usable_cpus", lambda: 9)
+    # reference, at 6.1 MB
     cfg = load_config()
-
-    def exchange():
-        simulate_ranging(cfg.chirp, cfg.channel_at(3.2), cfg.timeline,
-                         mode="one-bit-backscatter", fsk=cfg.fsk,
-                         threshold=cfg.comparator_threshold)
-
-    exchange()  # builds the cached reference side
+    _default_exchange(cfg)  # builds the cached reference side
     tracemalloc.start()
     try:
-        exchange()
+        _default_exchange(cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 6e6
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "known defect: a 50 us capture's comparator bits repeat exactly at "
+    "other lags, so one-bit reads 0.5 m as 1.0057 m and 2.0 m as 2.2013 m, "
+    "each with a score of 1.0"))
+@pytest.mark.parametrize("distance", [0.5, 2.0])
+def test_short_one_bit_capture_ranges_within_1_mm(distance):
+    cfg = load_config(sets=["timeline.capture_duration_s=5e-5"])
+    r = simulate_ranging(cfg.chirp, cfg.channel_at(distance), cfg.timeline,
+                         mode="one-bit-backscatter", fsk=cfg.fsk,
+                         threshold=cfg.comparator_threshold)
+    assert abs(r.distance - distance) < 1e-3
 
 
 # ------------------------------------------- reference side kept per config
@@ -610,7 +615,7 @@ def test_blocked_scan_matches_a_full_length_scan(timeline, n_blocks):
 
 @pytest.mark.parametrize("timeline", [BLOCKED_TIMELINE, ONE_BLOCK_TIMELINE],
                          ids=["four", "one"])
-def test_scan_is_bit_identical_at_any_worker_count(monkeypatch, timeline):
+def test_scan_matches_a_serial_block_loop_bit_for_bit(timeline):
     rate = FSK.sample_rate
     m = ReceiveWindow(timeline.wakeup_time, timeline.capture_duration,
                       rate).n_samples
@@ -622,38 +627,28 @@ def test_scan_is_bit_identical_at_any_worker_count(monkeypatch, timeline):
     rf = fsk_modulate(one_bit_quantize(window), FSK).samples
     rfz = rf - rf.mean()
 
-    scores = []
-    # each block goes to one worker past the cap too
-    monkeypatch.setattr(ranging, "SCAN_WORKERS", 16)
-    # switch threads often, so a worker writing outside its own blocks shows
+    # switch threads often, so a thread writing outside its own blocks shows
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for cpus in (1, 2, 3, 9):
-            monkeypatch.setattr(ranging, "_usable_cpus", lambda: cpus)
-            scores.append(ranging._scan(matched, rfz).view(np.uint64))
+        score = ranging._scan(matched, rfz)
     finally:
         sys.setswitchinterval(interval)
-    for score in scores[1:]:
-        assert np.array_equal(score, scores[0])
+
+    # the same blocks, one after the other on this thread
+    _, _, size, step, lags, tones = matched
+    rf_spec = np.conj(np.fft.fft(rfz, size))
+    expected = np.zeros(lags)
+    for b, start in enumerate(range(0, lags, step)):
+        kept = slice(start, min(start + step, lags))
+        for h, (blocks, rotation) in zip(ranging.HARMONICS, tones):
+            corr = np.fft.ifft(blocks[b] * rf_spec)[:kept.stop - kept.start]
+            expected[kept] += (rotation[kept] * corr).imag / h
+    assert np.array_equal(score.view(np.uint64), expected.view(np.uint64))
 
 
-def test_default_exchange_is_equal_at_any_worker_count(monkeypatch):
-    cfg = load_config()
-    ch = dataclasses.replace(cfg.channel_at(3.2), noise_std=0.02)
-    results = []
-    monkeypatch.setattr(ranging, "SCAN_WORKERS", 16)
-    for cpus in (1, 2, 3, 9):
-        monkeypatch.setattr(ranging, "_usable_cpus", lambda: cpus)
-        results.append(simulate_ranging(
-            cfg.chirp, ch, cfg.timeline, mode="one-bit-backscatter",
-            fsk=cfg.fsk, threshold=cfg.comparator_threshold))
-    assert results[1:] == results[:1] * 3
-
-
-def test_scan_runs_no_more_workers_than_the_cap(monkeypatch):
-    # each worker holds its own block buffer, so the cap bounds the memory
-    monkeypatch.setattr(ranging, "_usable_cpus", lambda: 9)
+def test_scan_runs_at_most_two_threads(monkeypatch):
+    # each thread holds its own block buffer, so this bounds the memory
     threads = set()
     ifft = np.fft.ifft
 
@@ -662,8 +657,12 @@ def test_scan_runs_no_more_workers_than_the_cap(monkeypatch):
         return ifft(*args, **kwargs)
 
     monkeypatch.setattr(np.fft, "ifft", recording_ifft)
+    _default_exchange(load_config())
+    assert 1 <= len(threads) <= 2
+
+
+def test_no_scan_thread_outlives_the_call():
     cfg = load_config()
-    simulate_ranging(cfg.chirp, cfg.channel_at(3.2), cfg.timeline,
-                     mode="one-bit-backscatter", fsk=cfg.fsk,
-                     threshold=cfg.comparator_threshold)
-    assert 1 <= len(threads) <= ranging.SCAN_WORKERS
+    before = threading.active_count()
+    _default_exchange(cfg)
+    assert threading.active_count() == before
