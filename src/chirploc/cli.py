@@ -131,7 +131,7 @@ def cmd_update_rate(cfg: ScenarioConfig) -> ResultTable:
          "updates_per_hour", "seconds_per_update"],
         metadata=_metadata(cfg, "update-rate"),
     )
-    duty = cfg.link_at(1.0).duty_cycle
+    duty = cfg.link.duty_cycle
     for d in cfg.grid():
         link = cfg.link_at(float(d))
         p = harvest_power(link, cfg.harvester)
@@ -148,20 +148,13 @@ def cmd_sweep(cfg: ScenarioConfig) -> ResultTable:
         ["tag_angle_deg", "n_elements", "precharge_time_s"],
         metadata=_metadata(cfg, "sweep"),
     )
-    s = cfg.resolved["sweep"]
-    link = cfg.link_at(float(s["distance_m"]))
-    for angle in s["tag_angles_deg"]:
-        for n in s["n_elements"]:
+    for angle in cfg.sweep_angles:
+        for array in cfg.sweep_arrays:
             t = beam_sweep_precharge(
-                cfg.sweep_array(int(n)),
-                float(angle),
-                dwell=float(s["dwell_s"]),
-                step=float(s["step_deg"]),
-                link=link,
-                harvester=cfg.harvester,
-                capacitance=cfg.capacitance,
-            )
-            table.add(float(angle), int(n), t)
+                array, angle, dwell=cfg.sweep_dwell, step=cfg.sweep_step,
+                link=cfg.sweep_link, harvester=cfg.harvester,
+                capacitance=cfg.capacitance)
+            table.add(angle, array.n_elements, t)
     return table
 
 

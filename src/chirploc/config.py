@@ -12,7 +12,8 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from typing import Any
 
 import numpy as np
@@ -64,7 +65,6 @@ DEFAULT_CONFIG: dict[str, Any] = {
     "components_file": None,
     "startup": {
         "mode": "split",
-        "operate_time_s": 0.001,
         "overlap": "full_window",
     },
     "harvester": {
@@ -160,13 +160,19 @@ def resolve_config(path: str | None = None, sets: list[str] | None = None,
     return resolved
 
 
-def _read(resolved: dict, dotted: str, convert=float):
+def _number(value) -> float:
+    if not math.isfinite(number := float(value)):
+        raise ValueError(f"must be a finite number, got {value}")
+    return number
+
+
+def _read(resolved: dict, dotted: str, convert=_number):
     """``convert`` applied to the value at a dotted key: a value it rejects,
     or a data file it cannot read, is a ``ConfigError`` naming the key."""
     group, _, key = dotted.rpartition(".")
     try:
         return convert((resolved[group] if group else resolved)[key])
-    except (TypeError, ValueError, OSError) as exc:
+    except (TypeError, ValueError, OverflowError, OSError) as exc:
         raise ConfigError(f"{dotted}: {exc}") from exc
 
 
@@ -180,7 +186,8 @@ def _grid(resolved: dict, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Typed view of a resolved configuration."""
+    """Typed view of a resolved configuration: ``link`` and ``channel`` sit
+    at 1 m until ``link_at`` and ``channel_at`` move them."""
 
     resolved: dict
     rng_seed: int
@@ -188,12 +195,19 @@ class ScenarioConfig:
     timeline: RangingTimeline
     fsk: FskConfig
     comparator_threshold: float
+    channel: AcousticChannel
     components: tuple[ComponentPower, ...]
     startup: StartupPlan
     harvester: HarvesterSpec
     capacitance: float
+    link: RfLink
     scenario: str
     measurement_overhead: float
+    sweep_link: RfLink
+    sweep_arrays: tuple[ArraySpec, ...]
+    sweep_angles: tuple[float, ...]
+    sweep_dwell: float
+    sweep_step: float
     config_hash: str
 
     @classmethod
@@ -205,6 +219,7 @@ class ScenarioConfig:
 
     @classmethod
     def _build(cls, resolved: dict) -> "ScenarioConfig":
+        rng_seed = _read(resolved, "rng_seed", int)
         chirp = ChirpSpec(
             f_start=_read(resolved, "chirp.f_start_hz"),
             f_stop=_read(resolved, "chirp.f_stop_hz"),
@@ -232,6 +247,17 @@ class ScenarioConfig:
                 raise ConfigError(
                     f"timeline.capture_duration_s ({timeline.capture_duration})"
                     f" holds no sample at {key} = {rate}")
+        channel = AcousticChannel(
+            distance=1.0,
+            speed_of_sound=_read(resolved, "channel.speed_of_sound_mps"),
+            attenuation_exponent=_read(resolved, "channel.attenuation_exponent"),
+            noise_std=_read(resolved, "channel.noise_std"),
+            multipath=_read(resolved, "channel.multipath",
+                            lambda echoes: tuple((_number(d), _number(g))
+                                                 for d, g in echoes)),
+            rng_seed=rng_seed,
+            interpolate_delays=bool(resolved["channel"]["interpolate_delays"]),
+        )
 
         if resolved["components_file"]:
             components = _read(resolved, "components_file",
@@ -240,7 +266,7 @@ class ScenarioConfig:
             components = default_components()
         startup = StartupPlan(
             mode=resolved["startup"]["mode"],
-            operate_time=_read(resolved, "startup.operate_time_s"),
+            operate_time=timeline.capture_duration,
             overlap=resolved["startup"]["overlap"],
         )
 
@@ -265,6 +291,9 @@ class ScenarioConfig:
             raise ConfigError(
                 f"capacitance_f must be positive, got {capacitance}"
             )
+        link = RfLink(1.0, *(_read(resolved, f"link.{k}") for k in (
+            "frequency_hz", "p_t_dbm", "g_t_dbi", "g_r_dbi", "duty_cycle",
+            "eirp_limit_dbm")))
         scenario = resolved["scenario"]
         if scenario not in ("initial", "update", "both"):
             raise ConfigError(
@@ -276,68 +305,44 @@ class ScenarioConfig:
                 f"update_rate.measurement_overhead_s must be >= 0, got {overhead}"
             )
 
-        cfg = cls(
+        spacing = _read(resolved, "sweep.spacing_wavelengths")
+        element_gain = _read(resolved, "sweep.element_gain_dbi")
+        sweep_arrays = tuple(
+            ArraySpec(n_elements=n, spacing=spacing, element_gain=element_gain)
+            for n in _read(resolved, "sweep.n_elements",
+                           lambda v: [int(_number(x)) for x in v]))
+        return cls(
             resolved=resolved,
-            rng_seed=_read(resolved, "rng_seed", int),
+            rng_seed=rng_seed,
             chirp=chirp,
             timeline=timeline,
             fsk=fsk,
             comparator_threshold=_read(resolved, "comparator_threshold"),
+            channel=channel,
             components=components,
             startup=startup,
             harvester=harvester,
             capacitance=capacitance,
+            link=link,
             scenario=scenario,
             measurement_overhead=overhead,
+            sweep_link=replace(link, distance=_read(resolved, "sweep.distance_m")),
+            sweep_arrays=sweep_arrays,
+            sweep_angles=_read(resolved, "sweep.tag_angles_deg",
+                               lambda v: tuple(map(_number, v))),
+            sweep_dwell=_read(resolved, "sweep.dwell_s"),
+            sweep_step=_read(resolved, "sweep.step_deg"),
             config_hash=_hash_config(resolved, components, harvester),
         )
-        # Build what the commands build per distance or per row once here
-        # (the EIRP ceiling in particular), so a malformed value fails at
-        # load, not partway through a table.  Grid bounds wait for grid().
-        # Every value in these groups is a number; link_at runs per table row,
-        # so its values are named here rather than on each read.
-        numbers = [f"{g}.{k}" for g in ("link", "grid", "range_grid")
-                   for k in resolved[g]]
-        for key in ("sweep.distance_m", "sweep.dwell_s", "sweep.step_deg", *numbers):
-            _read(resolved, key)
-        cfg.link_at(1.0)
-        cfg.channel_at(1.0)
-        _read(resolved, "sweep.tag_angles_deg", lambda v: list(map(float, v)))
-        for n in _read(resolved, "sweep.n_elements", lambda v: list(map(int, v))):
-            cfg.sweep_array(n)
-        return cfg
 
     def link_at(self, distance: float) -> RfLink:
-        l = self.resolved["link"]
-        return RfLink(
-            distance=distance,
-            frequency=float(l["frequency_hz"]),
-            p_t=float(l["p_t_dbm"]),
-            g_t=float(l["g_t_dbi"]),
-            g_r=float(l["g_r_dbi"]),
-            duty_cycle=float(l["duty_cycle"]),
-            eirp_limit=float(l["eirp_limit_dbm"]),
-        )
+        l = self.link  # not replace(): this runs once per table row
+        return RfLink(distance, l.frequency, l.p_t, l.g_t, l.g_r,
+                      l.duty_cycle, l.eirp_limit)
 
     def channel_at(self, distance: float, seed_offset: int = 0) -> AcousticChannel:
-        return AcousticChannel(
-            distance=distance,
-            speed_of_sound=_read(self.resolved, "channel.speed_of_sound_mps"),
-            attenuation_exponent=_read(self.resolved, "channel.attenuation_exponent"),
-            noise_std=_read(self.resolved, "channel.noise_std"),
-            multipath=_read(self.resolved, "channel.multipath",
-                            lambda echoes: tuple((float(d), float(g))
-                                                 for d, g in echoes)),
-            rng_seed=self.rng_seed + seed_offset,
-            interpolate_delays=bool(self.resolved["channel"]["interpolate_delays"]),
-        )
-
-    def sweep_array(self, n_elements: int) -> ArraySpec:
-        return ArraySpec(
-            n_elements=int(n_elements),
-            spacing=_read(self.resolved, "sweep.spacing_wavelengths"),
-            element_gain=_read(self.resolved, "sweep.element_gain_dbi"),
-        )
+        return replace(self.channel, distance=distance,
+                       rng_seed=self.rng_seed + seed_offset)
 
     def grid(self) -> np.ndarray:
         return _grid(self.resolved, "grid")

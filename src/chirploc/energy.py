@@ -79,6 +79,8 @@ class StartupPlan:
     up alone, and every other component turns on only inside a final shared
     window whose length is the largest remaining turn-on time.  In
     ``simultaneous`` mode everything is on for the whole slow start-up.
+    Either way everything then stays on for ``operate_time``, which the
+    scenario config fills from ``timeline.capture_duration_s``.
 
     ``overlap`` applies to split mode only: ``full_window`` keeps the fast
     components on for the whole shared window, ``own_turn_on`` powers each

@@ -1,12 +1,13 @@
 """Configuration resolution and the command-line scenario front end."""
 
+import dataclasses
 import json
 import math
 from importlib import resources
 
 import pytest
 
-from chirploc.cli import main
+from chirploc.cli import COMMANDS, main
 from chirploc.config import DEFAULT_CONFIG, load_config, resolve_config
 from chirploc.errors import ConfigError
 
@@ -174,6 +175,30 @@ def test_size_buffer_report(capsys):
     assert values["standard_capacitance"] == 6.8e-5
     assert values["e_cap_swing"] == pytest.approx(1.53e-5, rel=1e-9)
     assert values["e_cap_full"] == pytest.approx(1.7986e-4, rel=1e-9)
+
+
+@pytest.mark.parametrize("capture, e_tag, standard", [
+    (0.0005, "1.1502053999999999e-05", "6.8e-05"),
+    (0.001, "1.1742066000000001e-05", "6.8e-05"),
+    (0.002, "1.222209e-05", "8.2e-05"),
+    (0.004, "1.3182138000000003e-05", "8.2e-05"),
+])
+def test_capture_duration_sets_the_tag_energy(capsys, capture, e_tag, standard):
+    # the tag stays on for the capture the beacon locates
+    code, out, _ = run_cli(capsys, "size-buffer",
+                           "--set", f"timeline.capture_duration_s={capture}")
+    assert code == 0
+    values = {r[0]: r[1] for r in parse_csv(out)[2]}
+    assert values["e_tag"] == e_tag
+    assert values["standard_capacitance"] == standard
+
+
+def test_operate_time_is_not_a_key_of_its_own(capsys):
+    code, out, err = run_cli(capsys, "size-buffer",
+                             "--set", "startup.operate_time_s=0.001")
+    assert code == 2
+    assert err == "config error: unknown config key 'startup.operate_time_s'\n"
+    assert out == ""
 
 
 # -------------------------------------------------------------- charge-curve
@@ -353,8 +378,8 @@ def test_sweep_default_cells_are_pinned_digit_for_digit(capsys):
 
 
 DEFAULT_CONFIG_HASH = (
-    "3bf6be431d95be4452d96ad3c340880d"
-    "ba13895991d53e92e59d47a11c829338"
+    "896d6d69daaee38db12b826b1bf48bd4"
+    "748ff435f0ae0f3b453f8e89ffa7c767"
 )
 
 # Every cell of the default power tables, exactly as the CLI prints it.
@@ -539,6 +564,46 @@ def test_malformed_value_errors_name_the_key(capsys, command, assignment,
     assert code == 2
     assert err == f"config error: {message}\n"
     assert out == ""
+
+
+def _numeric_keys(tree: dict, prefix: str = ""):
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from _numeric_keys(value, f"{prefix}{key}.")
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield f"{prefix}{key}"
+
+
+NON_FINITE = ("NaN", "Infinity", "-Infinity")
+# the command that draws each lazily read group; every other value is read at
+# load, where any command rejects it
+COMMAND_OF_GROUP = {"grid": "charge-curve", "range_grid": "range"}
+
+
+@pytest.mark.parametrize("assignment", [
+    *(f"{key}={v}" for key in _numeric_keys(DEFAULT_CONFIG) for v in NON_FINITE),
+    *(f"channel.multipath=[[{v}, 0.5]]" for v in NON_FINITE),
+    *(f"channel.multipath=[[0.001, {v}]]" for v in NON_FINITE),
+    *(f"sweep.tag_angles_deg=[0.0, {v}]" for v in NON_FINITE),
+    *(f"sweep.n_elements=[1, {v}]" for v in (*NON_FINITE, "1e400")),
+])
+def test_non_finite_numbers_exit_two(capsys, assignment):
+    key = assignment.partition("=")[0]
+    command = COMMAND_OF_GROUP.get(key.partition(".")[0], "size-buffer")
+    code, out, err = run_cli(capsys, command, "--set", assignment)
+    assert code == 2
+    assert err.startswith(f"config error: {key}: ")
+    assert out == ""
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_commands_read_no_config_value_but_the_grids_again(command):
+    # every value but the lazily drawn grids is parsed once, at load
+    cfg = load_config(sets=["range_grid.d_max_m=1.5", "channel.noise_std=0.02",
+                            "link.p_t_dbm=24", "sweep.step_deg=7"])
+    bare = dataclasses.replace(cfg, resolved={
+        "grid": cfg.resolved["grid"], "range_grid": cfg.resolved["range_grid"]})
+    assert COMMANDS[command](bare).rows == COMMANDS[command](cfg).rows
 
 
 @pytest.mark.parametrize("sets, rate_key", [

@@ -321,15 +321,15 @@ def test_nanosecond_dwell_sweep_is_fast_at_the_continuous_limit(tmp_path):
     assert time.perf_counter() - start < 1.0
     assert code == 0
     cfg = load_config()
-    s = cfg.resolved["sweep"]
-    link = cfg.link_at(s["distance_m"])
+    link = cfg.sweep_link
+    arrays = {a.n_elements: a for a in cfg.sweep_arrays}
     target = buffer_energy(cfg.capacitance, cfg.harvester.v_chrdy, 0.0)
     rows = [ln.split(",") for ln in out.read_text().splitlines()
             if ln and not ln.startswith("#")][1:]
     assert len(rows) == 9
     for angle, n, t in rows:
-        powers = steer_powers(cfg.sweep_array(int(n)), float(angle), link,
-                              cfg.harvester, s["step_deg"])
+        powers = steer_powers(arrays[int(n)], float(angle), link,
+                              cfg.harvester, cfg.sweep_step)
         limit = target * len(powers) / sum(powers) / link.duty_cycle
         assert float(t) == pytest.approx(limit, rel=1e-6)
 
