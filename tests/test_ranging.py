@@ -490,6 +490,62 @@ def test_warm_default_exchange_peaks_under_6_mb():
     assert peak < 6e6
 
 
+# float.hex of one-bit (lag, peak) at GOLDEN_DISTANCES, the channel seeded as
+# ``cmd_range`` seeds its rows.  Any change to the scan, the shortlist or
+# exact rescoring that moves one bit of an answer shows here.
+GOLDEN_DISTANCES = (0.5, 1.3, 2.2, 3.2, 4.5, 5.9)
+GOLDEN = {
+    "noise-0.05": (["channel.noise_std=0.05"], [
+        ("0x1.2e9d36dd0bdf3p-6", "0x1.d532bda22c136p-1"),
+        ("0x1.085b18548a9bdp-6", "0x1.cbac801cb8de0p-1"),
+        ("0x1.c38cb22a8a174p-7", "0x1.a0c4af5048447p-1"),
+        ("0x1.56f9e1d8cd8c1p-7", "0x1.76fd357ca1683p-1"),
+        ("0x1.ce548c494efe7p-8", "0x1.468db3d4d1916p-1"),
+        ("0x1.75048edaf9b64p-9", "0x1.b3eab19531f6bp-1"),
+    ]),
+    "noise-0.1": (["channel.noise_std=0.1"], [
+        ("0x1.2cd47460faecap-6", "0x1.9013c49eca15cp-1"),
+        ("0x1.0ad03d9a95422p-6", "0x1.c068eb3d417bbp-1"),
+        ("0x1.c0ff3930a3360p-7", "0x1.a76c9a882d552p-1"),
+        ("0x1.56f9e1d8cd8c1p-7", "0x1.624e3356f2106p-1"),
+        ("0x1.ba5c87c05341cp-8", "0x1.578d5ce554a3fp-1"),
+        ("0x1.62896213f14e9p-9", "0x1.22b71dbfb0e58p-1"),
+    ]),
+    "echo-interpolated": ([
+        "channel.multipath=[[0.0005, 0.5]]",
+        "channel.interpolate_delays=true"], [
+        ("0x1.2ea6dc783b7b0p-6", "0x1.f2474591959efp-1"),
+        ("0x1.08eaf5acbfe71p-6", "0x1.e7a0fb66d6f44p-1"),
+        ("0x1.bab649d388a8bp-7", "0x1.f4a233ab7c3edp-1"),
+        ("0x1.5ae528e424d82p-7", "0x1.e8a71de69ad43p-1"),
+        ("0x1.d10ccd6ddc7c7p-8", "0x1.c8ce7303c6e52p-1"),
+        ("0x1.8de53070e113bp-9", "0x1.c2a998af28cc2p-1"),
+    ]),
+    "capture-4ms": ([
+        "timeline.capture_duration_s=0.004", "channel.noise_std=0.05"], [
+        ("0x1.2fcce1c58255bp-6", "0x1.aa4a8a7c0da38p-1"),
+        ("0x1.086020d2079f3p-6", "0x1.6d07d7d76fa36p-1"),
+        ("0x1.bfab7c1a2cd1fp-7", "0x1.567a118e068e7p-1"),
+        ("0x1.5c53bded35f8ep-7", "0x1.e2f8380c789edp-2"),
+        ("0x1.b525105ac116bp-8", "0x1.73f7e33fcbda6p-2"),
+        ("0x1.6ed4c9f15039dp-9", "0x1.546dc139d0205p-1"),
+    ]),
+}
+
+
+@pytest.mark.parametrize("setting", list(GOLDEN))
+def test_one_bit_exchanges_match_their_golden_bits(setting):
+    sets, expected = GOLDEN[setting]
+    cfg = load_config(sets=sets)
+    got = []
+    for i, d in enumerate(GOLDEN_DISTANCES):
+        r = simulate_ranging(cfg.chirp, cfg.channel_at(d, seed_offset=i),
+                             cfg.timeline, mode="one-bit-backscatter",
+                             fsk=cfg.fsk, threshold=cfg.comparator_threshold)
+        got.append((r.lag.hex(), r.peak.hex()))
+    assert got == expected
+
+
 @pytest.mark.xfail(strict=True, reason=(
     "known defect: a 50 us capture's comparator bits repeat exactly at "
     "other lags, so one-bit reads 0.5 m as 1.0057 m and 2.0 m as 2.2013 m, "
