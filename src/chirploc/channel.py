@@ -64,6 +64,9 @@ class AcousticChannel:
             )
         if self.noise_std < 0:
             raise ParameterError(f"noise_std must be >= 0, got {self.noise_std}")
+        if not isinstance(self.interpolate_delays, (bool, np.bool_)):
+            raise ParameterError("interpolate_delays must be true or false, "
+                                 f"got {self.interpolate_delays!r}")
         taps = tuple((float(d), float(g)) for d, g in self.multipath)
         for extra_delay, _gain in taps:
             if extra_delay < 0:
@@ -145,8 +148,9 @@ def propagate_acoustic(tx: Waveform, ch: AcousticChannel) -> Waveform:
         out = direct
 
     if ch.noise_std > 0:
-        rng = np.random.default_rng(ch.rng_seed)
-        out = out + rng.normal(0.0, ch.noise_std, out.size)
+        # numpy's normal(0, s) is 0 + s * z: the same noise, added in place
+        noise = np.random.default_rng(ch.rng_seed).standard_normal(out.size)
+        out += np.multiply(noise, ch.noise_std, out=noise)
 
     return Waveform(out, fs, tx.t_origin + ch.delay)
 

@@ -13,6 +13,7 @@ import copy
 import hashlib
 import json
 import math
+import re
 from dataclasses import dataclass, replace
 from typing import Any
 
@@ -28,7 +29,7 @@ from .energy import (
     load_component_table,
     load_efficiency_curve,
 )
-from .errors import ConfigError
+from .errors import ConfigError, ParameterError
 from .ranging import RangingTimeline
 from .signals import ChirpSpec, FskConfig
 from .wpt import ArraySpec, RfLink, inclusive_grid
@@ -166,6 +167,13 @@ def _number(value) -> float:
     return number
 
 
+def _whole(value) -> int:
+    number = value if isinstance(value, int) else _number(value)
+    if number != int(number):
+        raise ValueError(f"must be a whole number, got {value}")
+    return int(number)
+
+
 def _read(resolved: dict, dotted: str, convert=_number):
     """``convert`` applied to the value at a dotted key: a value it rejects,
     or a data file it cannot read, is a ``ConfigError`` naming the key."""
@@ -174,6 +182,19 @@ def _read(resolved: dict, dotted: str, convert=_number):
         return convert((resolved[group] if group else resolved)[key])
     except (TypeError, ValueError, OverflowError, OSError) as exc:
         raise ConfigError(f"{dotted}: {exc}") from exc
+
+
+def _spec(resolved: dict, group: str, build, *keys: str, **given):
+    """``build`` of the numbers at ``group``'s ``keys``, in order, and of
+    ``given``.  A value it rejects is a ``ConfigError`` naming the keys of
+    ``group`` whose fields (``distance`` for ``distance_m``) it names."""
+    try:
+        return build(*(_read(resolved, f"{group}.{k}") for k in keys), **given)
+    except ParameterError as exc:
+        words = re.findall(r"\w+", str(exc))
+        named = [f"{group}.{key}" for key in resolved[group]
+                 if any(key == w or key.startswith(f"{w}_") for w in words)]
+        raise ConfigError(f"{', '.join(named) or group}: {exc}") from exc
 
 
 def _grid(resolved: dict, name: str) -> np.ndarray:
@@ -212,31 +233,14 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, resolved: dict) -> "ScenarioConfig":
-        try:
-            return cls._build(resolved)
-        except (TypeError, ValueError, OSError) as exc:
-            raise ConfigError(str(exc)) from exc
-
-    @classmethod
-    def _build(cls, resolved: dict) -> "ScenarioConfig":
-        rng_seed = _read(resolved, "rng_seed", int)
-        chirp = ChirpSpec(
-            f_start=_read(resolved, "chirp.f_start_hz"),
-            f_stop=_read(resolved, "chirp.f_stop_hz"),
-            duration=_read(resolved, "chirp.duration_s"),
-            sample_rate=_read(resolved, "chirp.sample_rate_hz"),
-            amplitude=_read(resolved, "chirp.amplitude"),
-        )
-        timeline = RangingTimeline(
-            chirp_start=_read(resolved, "timeline.chirp_start_s"),
-            wakeup_time=_read(resolved, "timeline.wakeup_time_s"),
-            capture_duration=_read(resolved, "timeline.capture_duration_s"),
-        )
-        fsk = FskConfig(
-            freq0=_read(resolved, "fsk.freq0_hz"),
-            freq1=_read(resolved, "fsk.freq1_hz"),
-            sample_rate=_read(resolved, "fsk.sample_rate_hz"),
-        )
+        """A malformed or out-of-range value is a ``ConfigError`` naming its key."""
+        rng_seed = _read(resolved, "rng_seed", _whole)
+        chirp = _spec(resolved, "chirp", ChirpSpec, "f_start_hz", "f_stop_hz",
+                      "duration_s", "sample_rate_hz", "amplitude")
+        timeline = _spec(resolved, "timeline", RangingTimeline, "chirp_start_s",
+                         "wakeup_time_s", "capture_duration_s")
+        fsk = _spec(resolved, "fsk", FskConfig, "freq0_hz", "freq1_hz",
+                    "sample_rate_hz")
         # each mode samples the capture at its own rate; an empty capture
         # has nothing to locate
         for key, rate in (("chirp.sample_rate_hz", chirp.sample_rate),
@@ -247,8 +251,8 @@ class ScenarioConfig:
                 raise ConfigError(
                     f"timeline.capture_duration_s ({timeline.capture_duration})"
                     f" holds no sample at {key} = {rate}")
-        channel = AcousticChannel(
-            distance=1.0,
+        channel = _spec(
+            resolved, "channel", AcousticChannel, distance=1.0,
             speed_of_sound=_read(resolved, "channel.speed_of_sound_mps"),
             attenuation_exponent=_read(resolved, "channel.attenuation_exponent"),
             noise_std=_read(resolved, "channel.noise_std"),
@@ -256,31 +260,23 @@ class ScenarioConfig:
                             lambda echoes: tuple((_number(d), _number(g))
                                                  for d, g in echoes)),
             rng_seed=rng_seed,
-            interpolate_delays=bool(resolved["channel"]["interpolate_delays"]),
+            interpolate_delays=resolved["channel"]["interpolate_delays"],
         )
 
-        if resolved["components_file"]:
-            components = _read(resolved, "components_file",
-                               lambda path: load_component_table(str(path)))
-        else:
-            components = default_components()
-        startup = StartupPlan(
+        components = _read(resolved, "components_file", lambda path: (
+            load_component_table(str(path)) if path else default_components()))
+        startup = _spec(
+            resolved, "startup", StartupPlan,
             mode=resolved["startup"]["mode"],
             operate_time=timeline.capture_duration,
             overlap=resolved["startup"]["overlap"],
         )
 
-        if resolved["harvester"]["efficiency_curve_file"]:
-            curve = _read(resolved, "harvester.efficiency_curve_file",
-                          lambda path: load_efficiency_curve(str(path)))
-        else:
-            curve = default_efficiency_curve()
-        harvester = HarvesterSpec(
-            v_chrdy=_read(resolved, "harvester.v_chrdy"),
-            v_ovdis=_read(resolved, "harvester.v_ovdis"),
-            eta_ldo_worst=_read(resolved, "harvester.eta_ldo_worst"),
-            p_in_min=_read(resolved, "harvester.p_in_min_dbm"),
-            p_in_max=_read(resolved, "harvester.p_in_max_dbm"),
+        curve = _read(resolved, "harvester.efficiency_curve_file", lambda path: (
+            load_efficiency_curve(str(path)) if path else default_efficiency_curve()))
+        harvester = _spec(
+            resolved, "harvester", HarvesterSpec, "v_chrdy", "v_ovdis",
+            "eta_ldo_worst", "p_in_min_dbm", "p_in_max_dbm",
             efficiency_curve=curve,
             eta_antenna=_read(resolved, "harvester.eta_antenna"),
             eta_storage=_read(resolved, "harvester.eta_storage"),
@@ -288,12 +284,10 @@ class ScenarioConfig:
 
         capacitance = _read(resolved, "capacitance_f")
         if not capacitance > 0:
-            raise ConfigError(
-                f"capacitance_f must be positive, got {capacitance}"
-            )
-        link = RfLink(1.0, *(_read(resolved, f"link.{k}") for k in (
-            "frequency_hz", "p_t_dbm", "g_t_dbi", "g_r_dbi", "duty_cycle",
-            "eirp_limit_dbm")))
+            raise ConfigError(f"capacitance_f must be positive, got {capacitance}")
+        link = _spec(resolved, "link", lambda *values: RfLink(1.0, *values),
+                     "frequency_hz", "p_t_dbm", "g_t_dbi", "g_r_dbi",
+                     "duty_cycle", "eirp_limit_dbm")
         scenario = resolved["scenario"]
         if scenario not in ("initial", "update", "both"):
             raise ConfigError(
@@ -308,9 +302,10 @@ class ScenarioConfig:
         spacing = _read(resolved, "sweep.spacing_wavelengths")
         element_gain = _read(resolved, "sweep.element_gain_dbi")
         sweep_arrays = tuple(
-            ArraySpec(n_elements=n, spacing=spacing, element_gain=element_gain)
+            _spec(resolved, "sweep", ArraySpec, n_elements=n, spacing=spacing,
+                  element_gain=element_gain)
             for n in _read(resolved, "sweep.n_elements",
-                           lambda v: [int(_number(x)) for x in v]))
+                           lambda v: [_whole(x) for x in v]))
         return cls(
             resolved=resolved,
             rng_seed=rng_seed,
@@ -326,7 +321,8 @@ class ScenarioConfig:
             link=link,
             scenario=scenario,
             measurement_overhead=overhead,
-            sweep_link=replace(link, distance=_read(resolved, "sweep.distance_m")),
+            sweep_link=_spec(resolved, "sweep",
+                             lambda d: replace(link, distance=d), "distance_m"),
             sweep_arrays=sweep_arrays,
             sweep_angles=_read(resolved, "sweep.tag_angles_deg",
                                lambda v: tuple(map(_number, v))),

@@ -10,7 +10,7 @@ With a one-bit tag the beacon never hears the audio: the comparator bits
 reach it only as the FSK square wave the tag reflects.  The beacon locates
 the slice with one matched filter that scores that reflection against the
 reflection each window of the reference chirp would produce, at every lag
-at once (``_scan``), then rescores the best lags exactly (``_replica``).
+at once (``_scan``), then rescores the best lags exactly (``_exact_scores``).
 """
 
 from __future__ import annotations
@@ -25,18 +25,16 @@ import numpy as np
 from .channel import AcousticChannel, ReceiveWindow, propagate_acoustic, sample_window
 from .errors import ConvergenceError, GeometryError, ParameterError, RangeWindowError
 from .signals import (
-    BitStream,
     ChirpSpec,
     FskConfig,
     _carrier_phase,
     _cycles_per_sample,
     _readonly,
-    _square_wave,
+    _centred_pearson,
     fft_size,
     fsk_modulate,
     gen_chirp,
     one_bit_quantize,
-    pearson_window,
     xcorr_offset,
 )
 
@@ -244,19 +242,17 @@ def _backscatter_reference(chirp: ChirpSpec, reach: int, m: int,
                            fsk: FskConfig, threshold: float) -> tuple:
     """The beacon side of the one-bit matched filter, built once per config.
 
-    Returns ``(reference, ref_bits, size, step, lags, tones)``: the first
-    ``reach`` samples of ``chirp`` (at the RF rate), their comparator bits,
-    the block FFT size, the lags between block starts, the number of lags an
-    ``m``-sample window can take, and for each harmonic h in ``HARMONICS``
-    the pair ``(blocks, conj(exp(2 pi i h P[:lags])))``, with ``P`` the
-    carrier phase ``fsk_modulate`` reaches at each reference sample.  Row b
-    of ``blocks`` is the ``size``-point FFT of ``exp(2 pi i h P)`` from
-    sample ``b * step`` on, zero-padded past the end.  The block size
-    follows the capture length alone: ``size = min(fft_size(4 m),
-    fft_size(n))``, so a capture that spans a quarter of the reference or
-    more is scanned in one block.  Only the last config is kept, about
-    17 MB at the defaults; every array is read-only, so no exchange can
-    change what a later one reads.
+    Returns ``(reference, cycles, size, step, lags, spectra, rotations)``:
+    the first ``reach`` samples of ``chirp`` (at the RF rate), the carrier
+    cycles ``fsk_modulate`` advances per comparator bit of each, the block
+    FFT size, the lags between block starts, the number of lags an
+    ``m``-sample window can take, and, with ``P`` the modulator's carrier
+    phase and h the i-th of ``HARMONICS``, ``spectra[b, i]``, the
+    ``size``-point FFT of ``exp(2 pi i h P)`` from sample ``b * step`` on,
+    and ``rotations[i] = conj(exp(2 pi i h P[:lags]))``.  Blocks follow the
+    capture length alone: ``size = min(fft_size(3 m), fft_size(n))``.  Only
+    the last config is kept, about 19 MB at the defaults; every array is
+    read-only, so no exchange can change what a later one reads.
     """
     reference = gen_chirp(chirp, reach)
     ref_bits = one_bit_quantize(reference, threshold)
@@ -265,60 +261,68 @@ def _backscatter_reference(chirp: ChirpSpec, reach: int, m: int,
     phase = _carrier_phase(ref_bits, fsk)
     # a circular correlation over a block of size samples leaves the first
     # step lags unwrapped: their windows end inside the block
-    size = min(fft_size(4 * m), fft_size(n))
+    size = min(fft_size(3 * m), fft_size(n))
     step = size - m + 1
-    tones = []
-    for h in HARMONICS:
-        tone = np.exp(2j * np.pi * h * phase)
-        blocks = np.array([np.fft.fft(tone[start:start + size], size)
-                           for start in range(0, lags, step)])
-        tones.append((_readonly(blocks), _readonly(np.conj(tone[:lags]))))
-    return reference, ref_bits, size, step, lags, tuple(tones)
+    tones = np.array([np.exp(2j * np.pi * h * phase) for h in HARMONICS])
+    spectra = np.array([np.fft.fft(tones[:, start:start + size], size)
+                        for start in range(0, lags, step)])
+    return (reference, _readonly(_cycles_per_sample(ref_bits.bits, fsk)),
+            size, step, lags, _readonly(spectra),
+            _readonly(np.conj(tones[:, :lags])))
 
 
-def _scan(matched: tuple, rfz: np.ndarray) -> np.ndarray:
-    """Square-wave replica correlation of the centred reflection ``rfz`` at
-    every lag, truncated to ``HARMONICS``, by overlap-save blocks.
+def _scan(matched: tuple, rfz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ``RESCORED_LAGS`` lags, in order, at which the square-wave
+    replica truncated to ``HARMONICS`` best matches the centred reflection
+    ``rfz``, and their scores: the best of each overlap-save block's best,
+    so the best of all lags unless the next one ties.
 
-    One forward FFT takes the reflection to ``size`` points.  Per block and
-    harmonic, one inverse FFT of its product with the block's tone spectrum
-    yields the block's first ``step`` lags, which are rotated back by their
-    start phases and added into the score.
-
-    The blocks are split two ways: the calling thread scans the even blocks
-    and one pool thread the odd ones, each in its own ``size``-point buffer,
-    so the scan holds two block buffers on any host.  Each writes only its
-    own blocks' lags, one harmonic after the other in ``HARMONICS`` order,
-    so every score is summed as a serial pass sums it and the answer does
-    not depend on the CPUs the process may use.  No thread outlives the call.
+    Per block, one inverse FFT takes every harmonic's correlation at the
+    block's first ``step`` lags, each rotated back by its start phase and
+    weighted by 1/h.  The calling thread scans the even blocks and one pool
+    thread the odd ones, each in its own ``(len(HARMONICS), size)`` buffer,
+    and the kept lags merge in a fixed order, so the shortlist does not
+    depend on the CPUs the process may use.  No thread outlives the call.
     """
     # imported here: importing it with the module would add several ms to
     # every command's start-up, and only the one-bit scan uses it
     from concurrent.futures import ThreadPoolExecutor
 
-    _, _, size, step, lags, tones = matched
+    _, _, size, step, lags, spectra, rotations = matched
     rf_spec = np.conj(np.fft.fft(rfz, size))
-    score = np.zeros(lags)
-    starts = range(0, lags, step)
+    # the square wave is 4/pi times the sum of sin(2 pi h theta) / h
+    weights = np.array(HARMONICS, dtype=float)[:, None]
 
-    def scan_blocks(first: int) -> None:
-        buf = np.empty(size, dtype=complex)
-        for b in range(first, len(starts), 2):
-            kept = slice(starts[b], min(starts[b] + step, lags))
-            corr = buf[:kept.stop - kept.start]
-            for h, (blocks, rotation) in zip(HARMONICS, tones):
-                np.multiply(blocks[b], rf_spec, out=buf)
-                np.fft.ifft(buf, out=buf)
-                np.multiply(rotation[kept], corr, out=corr)
-                # the square wave is 4/pi times the sum of sin(2 pi h theta) / h
-                np.divide(corr.imag, h, out=corr.imag)
-                score[kept] += corr.imag
+    def scan_blocks(first: int) -> list:
+        buf = np.empty((len(HARMONICS), size), dtype=complex)
+        score = np.empty(step)
+        kept = []
+        for b in range(first, len(spectra), 2):
+            start = b * step
+            width = min(step, lags - start)
+            corr = buf[:, :width]
+            np.multiply(spectra[b], rf_spec, out=buf)
+            np.fft.ifft(buf, axis=-1, out=buf)
+            np.multiply(rotations[:, start:start + width], corr, out=corr)
+            np.divide(corr.imag, weights, out=corr.imag)
+            block = np.sum(corr.imag, axis=0, out=score[:width])
+            best = _best(block)
+            kept.append((best + start, block[best]))
+        return kept
 
     with ThreadPoolExecutor(1) as pool:
         odd = pool.submit(scan_blocks, 1)
-        scan_blocks(0)
-        odd.result()  # re-raises what the pool thread raised
-    return score
+        kept = scan_blocks(0) + odd.result()  # re-raises the pool's error
+    shortlist, scores = map(np.concatenate, zip(*kept))
+    best = _best(scores)
+    best = best[np.argsort(shortlist[best])]
+    return shortlist[best], scores[best]
+
+
+def _best(scores: np.ndarray) -> np.ndarray:
+    """Indices of the ``RESCORED_LAGS`` highest scores, or of all of them."""
+    take = min(RESCORED_LAGS, len(scores))
+    return np.argpartition(scores, -take)[-take:]
 
 
 def _locate_backscatter(matched: tuple, captured, fsk: FskConfig,
@@ -333,48 +337,39 @@ def _locate_backscatter(matched: tuple, captured, fsk: FskConfig,
     cross-correlations of the stream against ``exp(2 pi i h P)``, each lag
     then rotated back by its own start phase ``P[k]``.  Every replica is a
     balanced carrier, so its energy is the window length to within a few
-    samples and the scan ranks lags by correlation alone.  The best lags
-    are rescored exactly against replicas that ``_replica`` builds bit for
-    bit as the modulator would, so a perfect match scores exactly 1.0 and
+    samples and the scan ranks lags by correlation alone.  ``_scan``'s
+    shortlist is rescored exactly, so a perfect match scores exactly 1.0 and
     the truncated series never decides the answer.  Ties go to the smallest
-    lag.
-
-    Everything on the reference side depends only on the config and comes
-    in ``matched`` from ``_backscatter_reference``.  Per exchange this
-    quantizes and modulates the capture, scores every lag with ``_scan``
-    and rescores the best ``RESCORED_LAGS`` lags one at a time.
+    lag.  The reference side depends only on the config and comes in
+    ``matched`` from ``_backscatter_reference``.
     """
-    ref_bits = matched[1]
-    tag_bits = one_bit_quantize(captured, threshold)
-    rf = fsk_modulate(tag_bits, fsk)
-    rfz = rf.samples - rf.samples.mean()
-    erf2 = float(np.dot(rfz, rfz))
-    m = len(tag_bits)
-    score = _scan(matched, rfz)
-
-    take = min(RESCORED_LAGS, len(score))
-    best_lag, best_score = 0, -np.inf
-    for k in np.sort(np.argpartition(score, -take)[-take:]):
-        exact = pearson_window(_replica(ref_bits, k, m, fsk), 0, rfz, erf2)
-        if exact > best_score:
-            best_lag, best_score = int(k), exact
-    return best_lag / ref_bits.bit_rate, best_score
+    rf = fsk_modulate(one_bit_quantize(captured, threshold), fsk).samples
+    rfz = rf - rf.mean()
+    shortlist, _ = _scan(matched, rfz)
+    exact = _exact_scores(matched[1], shortlist, rfz, float(np.dot(rfz, rfz)))
+    best = int(np.argmax(exact))  # the first maximum: the smallest lag
+    return int(shortlist[best]) / fsk.sample_rate, float(exact[best])
 
 
-def _replica(ref_bits: BitStream, k: int, m: int,
-             fsk: FskConfig) -> np.ndarray:
-    """``fsk_modulate`` of the ``m`` reference bits from lag ``k`` on, bit
-    for bit.
-
-    The reference bits run at the RF sample rate, so each bit is one sample
-    and the replica's phase is the running sum of the per-bit increments
-    before each sample, accumulated in the modulator's order; bit
-    ``k + m - 1`` is never read.
-    """
+def _exact_scores(cycles: np.ndarray, lags: np.ndarray, yz: np.ndarray,
+                  ey2: float) -> np.ndarray:
+    """``pearson_window``, bit for bit, of ``fsk_modulate`` of the
+    ``m = yz.size`` reference bits from each lag k on against the centred
+    ``yz`` of energy ``ey2``.  Bits are samples at the RF rate, so the
+    replica's phase is the running sum of ``cycles[k:k + m - 1]`` from 0,
+    and it is +1 where ``floor(2 phase)`` is even (``_square_wave``); its
+    samples sum to an integer, so its count of low ones gives its mean
+    exactly."""
+    m = yz.size
     phase = np.zeros(m)
-    np.cumsum(_cycles_per_sample(ref_bits.bits[k:k + m - 1], fsk),
-              out=phase[1:])
-    return _square_wave(phase)
+    scores = np.empty(len(lags))
+    for i, k in enumerate(lags):
+        np.cumsum(cycles[k:k + m - 1], out=phase[1:])
+        low = (2.0 * phase).astype(np.int64) & 1
+        mean = (m - 2 * int(np.count_nonzero(low))) / m
+        xz = np.array((1.0 - mean, -1.0 - mean))[low]
+        scores[i] = _centred_pearson(xz, yz, ey2)
+    return scores
 
 
 def trilaterate(

@@ -133,14 +133,14 @@ class FskConfig:
 
     def __post_init__(self):
         if not (self.freq0 > 0 and self.freq1 > 0):
-            raise ParameterError("tone frequencies must be positive")
+            raise ParameterError("freq0 and freq1 must be positive")
         if self.freq0 == self.freq1:
             raise ParameterError("freq0 and freq1 must differ")
         shift = abs(self.freq1 - self.freq0) / min(self.freq0, self.freq1)
         if shift > MAX_SHIFT_RATIO + 1e-12:
             raise ParameterError(
-                f"tone spacing {shift:.3f} exceeds the maximum ratio "
-                f"{MAX_SHIFT_RATIO}")
+                f"tone spacing {shift:.3f} of freq0 and freq1 exceeds the "
+                f"maximum ratio {MAX_SHIFT_RATIO}")
         if not self.sample_rate > 4 * max(self.freq0, self.freq1):
             raise ParameterError(
                 f"sample_rate ({self.sample_rate}) must exceed four times the "
@@ -243,7 +243,11 @@ def pearson_window(x: np.ndarray, k: int, yz: np.ndarray, ey2: float) -> float:
     scoring one segment at many lags centres it once.
     """
     xw = x[k:k + yz.size]
-    xz = xw - xw.mean()
+    return _centred_pearson(xw - xw.mean(), yz, ey2)
+
+
+def _centred_pearson(xz: np.ndarray, yz: np.ndarray, ey2: float) -> float:
+    """Exact Pearson correlation of centred ``xz`` and ``yz`` (energy ``ey2``)."""
     a = float(np.dot(xz, xz))
     if a == 0.0 and ey2 == 0.0:
         return 1.0

@@ -114,6 +114,9 @@ def test_delay_equals_distance_over_speed(distance, c):
     dict(distance=1.0, noise_std=-0.1),
     dict(distance=1.0, multipath=((-1e-3, 0.5),)),
     dict(distance=1.0, attenuation_exponent=-0.5),
+    # a truthy string or number is not a flag
+    dict(distance=1.0, interpolate_delays="no"),
+    dict(distance=1.0, interpolate_delays=1),
 ])
 def test_channel_rejects_bad_parameters(kwargs):
     with pytest.raises(ParameterError):

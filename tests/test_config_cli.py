@@ -543,6 +543,25 @@ def test_sweep_runtime_error_exits_three(capsys):
     ("charge-curve", "grid.d_step_m=0"),
     ("charge-curve", "link.p_t_dbm=abc"),
     ("range", "range_grid.d_step_m=0"),
+    # only a JSON boolean sets a flag: bool("no") would be True
+    ("range", "channel.interpolate_delays=no"),
+    ("range", 'channel.interpolate_delays="false"'),
+    ("range", "channel.interpolate_delays=1"),
+    # a fraction is rejected, not truncated
+    ("size-buffer", "rng_seed=2.7"),
+    ("sweep", "sweep.n_elements=[2.5]"),
+    # values a spec's own checks reject
+    ("size-buffer", "startup.mode=x"),
+    ("size-buffer", "startup.overlap=x"),
+    ("sweep", "sweep.distance_m=0"),
+    ("sweep", "sweep.spacing_wavelengths=0"),
+    ("range", "channel.noise_std=-1"),
+    ("range", "chirp.sample_rate_hz=50000"),
+    ("range", "fsk.freq0_hz=-1"),
+    ("range", "fsk.freq1_hz=1.5e6"),
+    ("range", "timeline.wakeup_time_s=-1"),
+    ("size-buffer", "harvester.eta_ldo_worst=2"),
+    ("charge-curve", "link.duty_cycle=2"),
 ])
 def test_malformed_values_exit_two(capsys, command, assignment):
     code, out, err = run_cli(capsys, command, "--set", assignment)
@@ -564,6 +583,16 @@ def test_malformed_value_errors_name_the_key(capsys, command, assignment,
     assert code == 2
     assert err == f"config error: {message}\n"
     assert out == ""
+
+
+def test_whole_values_and_flags_are_accepted():
+    cfg = load_config(sets=["rng_seed=3.0", "sweep.n_elements=[2.0, 4]",
+                            "channel.interpolate_delays=true"])
+    assert cfg.rng_seed == 3 and isinstance(cfg.rng_seed, int)
+    assert [a.n_elements for a in cfg.sweep_arrays] == [2, 4]
+    assert cfg.channel.interpolate_delays is True
+    assert load_config(sets=["channel.interpolate_delays=false"]
+                       ).config_hash == DEFAULT_CONFIG_HASH
 
 
 def _numeric_keys(tree: dict, prefix: str = ""):
