@@ -1,6 +1,7 @@
 """Configuration resolution and the command-line scenario front end."""
 
 import dataclasses
+import hashlib
 import json
 import math
 from importlib import resources
@@ -521,6 +522,79 @@ def test_range_tables_are_pinned_digit_for_digit(capsys, sets):
     assert code == 0
     body = [line for line in out.splitlines() if not line.startswith("# ")]
     assert body == PINNED_RANGE_TABLES[sets].splitlines()
+
+
+# sha256 of the header and rows of each power table on a 1 cm grid with a
+# 0.3 ms dwell, and of each variant that takes another branch of the table
+# code: rows beyond the harvester's window, antenna and storage losses, each
+# scenario, a measurement overhead, and a sweep step that does not divide 180.
+FINE = ("grid.d_step_m=0.01", "sweep.dwell_s=3e-4")
+FAR = ("grid.d_max_m=40",)
+LOSSY = ("harvester.eta_antenna=0.8", "harvester.eta_storage=0.9")
+GOLDEN_TABLE_SHA256 = {
+    ("charge-curve", ()):
+        "f4fd04ea79997e353338d12ff34933c286b924ac4d5fd0bb8be3c628d81d53e8",
+    ("size-buffer", ()):
+        "4cdf539d52728df86b0ebd3e8746352decfb764dbc8475afec720df294b55c45",
+    ("update-rate", ()):
+        "a068e17cc0fb79b6ef28e686a2583f988214b7c170595c1deb596e77d3d61cde",
+    ("sweep", ()):
+        "0153a78a51dc0afb5b288cf8c2cd21a14268339de6d94abd07ea7bf1346c198f",
+    ("charge-curve", FAR):
+        "1a1a7fa1faf008068563b81662f5291017d3b66b81c805bcc33edbc8d2136b4c",
+    ("update-rate", FAR):
+        "86ff4191305104a6d0792536d304ae9cb651b18af4c2f1649271c6ee5384e156",
+    ("charge-curve", LOSSY):
+        "127c57e04d4348a78d7bb30c08766fa7d66ed1b71f87d6d993de90ae2e072954",
+    ("update-rate", LOSSY):
+        "8f9c121b3f177bdf8f98ca695e99b256ca85f3e9b9509da0dcfccb5404231401",
+    ("sweep", LOSSY):
+        "b4dfc14c385b04b06901cfb58cb7993f91622ce1c21b6e665a8c02ffc2e4df63",
+    ("update-rate", ("scenario=initial",)):
+        "ae3e8c0f343f8b528c834c812f9714da05252d548231967ece84d6d6edc32f95",
+    ("update-rate", ("scenario=update",)):
+        "ad7564f2a0e447651c283b1c26872d4f2d4bbdb46b10cac57bb9131db2ab032c",
+    ("update-rate", ("scenario=both",)):
+        "a068e17cc0fb79b6ef28e686a2583f988214b7c170595c1deb596e77d3d61cde",
+    ("update-rate", ("update_rate.measurement_overhead_s=2",)):
+        "1a8ec3a6460f2411a3fadab046fb8a21e60e7a05bdbf3a41d75c62c307a87230",
+    ("sweep", ("sweep.step_deg=7",)):
+        "aff7b59c01fd00b730684bf2be6e85a92ccc6dc274e53eb412d994f5e7b92e39",
+}
+
+
+def fine_table(capsys, command, sets) -> str:
+    args = [arg for s in (*FINE, *sets) for arg in ("--set", s)]
+    code, out, _ = run_cli(capsys, command, *args)
+    assert code == 0
+    return "".join(line for line in out.splitlines(keepends=True)
+                   if not line.startswith("# "))
+
+
+@pytest.mark.parametrize(
+    "command, sets", sorted(GOLDEN_TABLE_SHA256),
+    ids=[f"{c}-{'+'.join(s) or 'fine'}" for c, s in sorted(GOLDEN_TABLE_SHA256)])
+def test_fine_power_tables_match_their_golden_bytes(capsys, command, sets):
+    body = fine_table(capsys, command, sets)
+    assert (hashlib.sha256(body.encode()).hexdigest()
+            == GOLDEN_TABLE_SHA256[command, sets])
+
+
+def test_far_fine_grid_reaches_past_the_harvester(capsys):
+    # the FAR goldens cover rows the harvester cannot power
+    _, _, rows = parse_csv(fine_table(capsys, "update-rate", FAR))
+    assert len(rows) == 2 * 3901
+    dead = [r for r in rows if r[2] == "inf"]
+    assert dead and all(r[4] == "0.0" and r[5] == "inf" for r in dead)
+
+
+@pytest.mark.parametrize("command", ["charge-curve", "update-rate"])
+@pytest.mark.parametrize("d_min, shown", [("0", "0.0"), ("-1", "-1.0")])
+def test_non_positive_grid_distances_exit_three(capsys, command, d_min, shown):
+    code, out, err = run_cli(capsys, command, "--set", f"grid.d_min_m={d_min}")
+    assert code == 3
+    assert err == f"error: distance must be positive, got {shown}\n"
+    assert out == ""
 
 
 def test_sweep_runtime_error_exits_three(capsys):
