@@ -14,6 +14,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
+from functools import lru_cache
+from itertools import repeat
 
 from . import __version__
 from .config import ScenarioConfig, load_config
@@ -32,7 +35,6 @@ from .wpt import (
     beam_sweep_precharge,
     charge_time,
     friis_received_power,
-    harvest_power,
     update_rate,
 )
 
@@ -52,11 +54,15 @@ def _metadata(cfg: ScenarioConfig, command: str) -> dict[str, str]:
 
 def _scenarios(cfg: ScenarioConfig) -> list[ChargeScenario]:
     kinds = ("initial", "update") if cfg.scenario == "both" else (cfg.scenario,)
-    factory = {
-        "initial": ChargeScenario.initial,
-        "update": ChargeScenario.update,
-    }
-    return [factory[k](cfg.harvester) for k in kinds]
+    return [getattr(ChargeScenario, kind)(cfg.harvester) for kind in kinds]
+
+
+def _grid_powers(cfg: ScenarioConfig):
+    """The grid's distances, and the RF input (dBm) and harvested power (W)
+    at each, one column each."""
+    distances = cfg.grid()
+    p_in = friis_received_power(replace(cfg.link, distance=distances))
+    return distances, p_in, harvester_output(p_in, cfg.harvester)
 
 
 def cmd_charge_curve(cfg: ScenarioConfig) -> ResultTable:
@@ -64,19 +70,10 @@ def cmd_charge_curve(cfg: ScenarioConfig) -> ResultTable:
         ["distance_m", "t_initial_s", "t_update_s", "p_harvest_w", "p_in_dbm"],
         metadata=_metadata(cfg, "charge-curve"),
     )
-    initial = ChargeScenario.initial(cfg.harvester)
-    update = ChargeScenario.update(cfg.harvester)
-    for d in cfg.grid():
-        link = cfg.link_at(float(d))
-        p_in = friis_received_power(link)
-        p = harvester_output(p_in, cfg.harvester)
-        table.add(
-            float(d),
-            charge_time(cfg.capacitance, initial, p),
-            charge_time(cfg.capacitance, update, p),
-            p,
-            p_in,
-        )
+    d, p_in, p = _grid_powers(cfg)
+    initial = charge_time(cfg.capacitance, ChargeScenario.initial(cfg.harvester), p)
+    update = charge_time(cfg.capacitance, ChargeScenario.update(cfg.harvester), p)
+    table.rows.extend(zip(*(c.tolist() for c in (d, initial, update, p, p_in))))
     return table
 
 
@@ -131,15 +128,15 @@ def cmd_update_rate(cfg: ScenarioConfig) -> ResultTable:
          "updates_per_hour", "seconds_per_update"],
         metadata=_metadata(cfg, "update-rate"),
     )
-    duty = cfg.link.duty_cycle
-    for d in cfg.grid():
-        link = cfg.link_at(float(d))
-        p = harvest_power(link, cfg.harvester)
-        for scenario in _scenarios(cfg):
-            t = charge_time(cfg.capacitance, scenario, p)
-            per_update = t / duty + cfg.measurement_overhead
-            rate = update_rate(t, duty, cfg.measurement_overhead)
-            table.add(float(d), scenario.kind, t, duty, rate, per_update)
+    duty, overhead = cfg.link.duty_cycle, cfg.measurement_overhead
+    d, _, p = _grid_powers(cfg)
+    per_scenario = []
+    for scenario in _scenarios(cfg):
+        t = charge_time(cfg.capacitance, scenario, p)
+        per_scenario.append(zip(
+            d.tolist(), repeat(scenario.kind), t.tolist(), repeat(duty),
+            update_rate(t, duty, overhead).tolist(), (t / duty + overhead).tolist()))
+    table.rows.extend(row for rows in zip(*per_scenario) for row in rows)
     return table
 
 
@@ -167,7 +164,9 @@ COMMANDS = {
 }
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="chirploc",
         description="Chirp-sampling ranging and RF-power scenario simulator.",

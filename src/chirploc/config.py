@@ -208,7 +208,7 @@ def _grid(resolved: dict, name: str) -> np.ndarray:
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Typed view of a resolved configuration: ``link`` and ``channel`` sit
-    at 1 m until ``link_at`` and ``channel_at`` move them."""
+    at 1 m until a table moves them (``channel_at`` for the channel)."""
 
     resolved: dict
     rng_seed: int
@@ -330,11 +330,6 @@ class ScenarioConfig:
             sweep_step=_read(resolved, "sweep.step_deg"),
             config_hash=_hash_config(resolved, components, harvester),
         )
-
-    def link_at(self, distance: float) -> RfLink:
-        l = self.link  # not replace(): this runs once per table row
-        return RfLink(distance, l.frequency, l.p_t, l.g_t, l.g_r,
-                      l.duty_cycle, l.eirp_limit)
 
     def channel_at(self, distance: float, seed_offset: int = 0) -> AcousticChannel:
         return replace(self.channel, distance=distance,

@@ -213,21 +213,26 @@ def next_standard_capacitance(c_min: float) -> float:
     raise ParameterError(f"c_min {c_min} exceeds the supported standard range")
 
 
-def harvester_output(p_in_dbm: float, harvester: HarvesterSpec) -> float:
+def harvester_output(p_in_dbm, harvester: HarvesterSpec):
     """DC power in watts delivered by the harvester for a given RF input.
 
     Zero outside the harvester's sensitivity window; inside it, the
     efficiency interpolated from the curve times the input power in watts.
+    An array of inputs gives an array of outputs, a scalar a float.  Each
+    dBm-to-watt power runs on Python's ``math``, not numpy's SIMD loops.
     """
-    if not math.isfinite(p_in_dbm):
+    p = np.asarray(p_in_dbm, dtype=float)
+    if not np.isfinite(p).all():
         raise ParameterError(f"p_in_dbm must be finite, got {p_in_dbm}")
-    p_eff = p_in_dbm + 10.0 * math.log10(harvester.eta_antenna)
-    if p_eff < harvester.p_in_min or p_eff > harvester.p_in_max:
-        return 0.0
-    curve = harvester.efficiency_curve
-    eta = float(np.interp(p_eff, [p for p, _ in curve], [e for _, e in curve]))
-    p_watts = 10.0 ** ((p_eff - 30.0) / 10.0)
-    return harvester.eta_storage * eta * p_watts
+    p_eff = p + 10.0 * math.log10(harvester.eta_antenna)
+    inside = (p_eff >= harvester.p_in_min) & (p_eff <= harvester.p_in_max)
+    powers = np.zeros(p.shape)
+    p_eff = p_eff[inside]
+    p_watts = [10.0 ** x for x in ((p_eff - 30.0) / 10.0).tolist()]
+    powers[inside] = (harvester.eta_storage
+                      * np.interp(p_eff, *np.array(harvester.efficiency_curve).T)
+                      * p_watts)
+    return powers if powers.ndim else float(powers)
 
 
 def load_component_table(path: str | Path) -> tuple[ComponentPower, ...]:

@@ -9,21 +9,10 @@ so identical runs produce identical bytes.
 from __future__ import annotations
 
 import io
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-__all__ = ["ResultTable", "format_cell"]
-
-
-def format_cell(value) -> str:
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        if math.isnan(value):
-            return "nan"
-        return repr(value)
-    return str(value)
+__all__ = ["ResultTable"]
 
 
 @dataclass
@@ -45,7 +34,7 @@ class ResultTable:
             buf.write(f"# {key}: {value}\n")
         buf.write(",".join(self.columns) + "\n")
         for row in self.rows:
-            buf.write(",".join(format_cell(v) for v in row) + "\n")
+            buf.write(",".join(map(str, row)) + "\n")
         return buf.getvalue()
 
     def write(self, path: str | Path | None) -> None:

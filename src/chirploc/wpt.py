@@ -37,7 +37,8 @@ class RfLink:
     """Continuous-wave power link from transmitter to tag.
 
     Gains are in dBi, powers in dBm.  The transmitter must respect the
-    regulatory EIRP ceiling: p_t + g_t <= eirp_limit.
+    regulatory EIRP ceiling: p_t + g_t <= eirp_limit.  ``distance`` may be
+    an array: one link per distance, checked and priced all at once.
     """
 
     distance: float
@@ -49,8 +50,10 @@ class RfLink:
     eirp_limit: float = 27.0
 
     def __post_init__(self):
-        if not self.distance > 0:
-            raise ParameterError(f"distance must be positive, got {self.distance}")
+        distance = np.asarray(self.distance)
+        if not (distance > 0).all():
+            raise ParameterError(
+                f"distance must be positive, got {distance[~(distance > 0)][0]}")
         if not self.frequency > 0:
             raise ParameterError(f"frequency must be positive, got {self.frequency}")
         if self.p_t + self.g_t > self.eirp_limit + 1e-9:
@@ -127,9 +130,16 @@ def friis_received_power(link: RfLink) -> float:
     return link.p_t + link.g_t + link.g_r - _path_loss_db(link)
 
 
-def _path_loss_db(link: RfLink) -> float:
-    """Free-space path loss of the link in dB: ``20 log10(4 pi d / lambda)``."""
-    return 20.0 * math.log10(4.0 * math.pi * link.distance / link.wavelength)
+def _path_loss_db(link: RfLink):
+    """Free-space path loss of the link in dB: ``20 log10(4 pi d / lambda)``.
+
+    ``log10`` runs per distance on Python's ``math``: numpy's SIMD loop
+    differs from it in the last bit of some inputs.
+    """
+    ratio = 4.0 * math.pi * np.asarray(link.distance, dtype=float) / link.wavelength
+    if not ratio.ndim:
+        return 20.0 * math.log10(ratio)
+    return 20.0 * np.array([math.log10(r) for r in ratio.tolist()])
 
 
 def harvest_power(link: RfLink, harvester: HarvesterSpec) -> float:
@@ -137,20 +147,19 @@ def harvest_power(link: RfLink, harvester: HarvesterSpec) -> float:
     return harvester_output(friis_received_power(link), harvester)
 
 
-def charge_time(capacitance: float, scenario: ChargeScenario,
-                p_harvest: float) -> float:
+def charge_time(capacitance: float, scenario: ChargeScenario, p_harvest):
     """Radiated seconds to move the capacitor through the scenario's swing.
 
     Returns infinity when the harvested power is zero (the tag is
     unreachable at this distance).  Duty-cycle stretching is applied by the
-    caller; this is pure energy over power.
+    caller; this is pure energy over power, elementwise over an array.
     """
-    if p_harvest < 0:
+    p = np.asarray(p_harvest, dtype=float)
+    if (p < 0).any():
         raise ParameterError(f"p_harvest must be >= 0, got {p_harvest}")
     energy = buffer_energy(capacitance, scenario.v_end, scenario.v_start)
-    if p_harvest == 0.0:
-        return math.inf
-    return energy / p_harvest
+    t = np.divide(energy, p, out=np.full(p.shape, math.inf), where=p != 0.0)
+    return t if t.ndim else float(t)
 
 
 def array_factor(array: ArraySpec, target_angle: float) -> float:
@@ -219,16 +228,15 @@ def beam_sweep_precharge(
     target = buffer_energy(capacitance, harvester.v_chrdy, 0.0)
     path = _path_loss_db(link)
 
-    powers = []
-    for steer in angles:
-        gain = array_factor(
-            ArraySpec(array.n_elements, array.spacing, array.element_gain,
-                      float(steer)),
-            tag_angle,
-        )
-        p_in = link.p_t + gain + link.g_r - path
-        powers.append(harvester_output(p_in, harvester) if math.isfinite(p_in)
-                      else 0.0)
+    gains = np.array([
+        array_factor(ArraySpec(array.n_elements, array.spacing,
+                               array.element_gain, steer), tag_angle)
+        for steer in angles.tolist()])
+    p_in = link.p_t + gains + link.g_r - path
+    lit = np.isfinite(p_in)
+    powers = np.zeros(angles.size)
+    powers[lit] = harvester_output(p_in[lit], harvester)
+    powers = powers.tolist()
     if max(powers) == 0.0:
         return math.inf
 
@@ -246,15 +254,17 @@ def beam_sweep_precharge(
         radiated += dwell
 
 
-def update_rate(charge_s: float, duty_cycle: float,
-                measurement_overhead_s: float = 0.0) -> float:
+def update_rate(charge_s, duty_cycle: float,
+                measurement_overhead_s: float = 0.0):
     """Position updates per hour given a per-update charge requirement.
 
     The charge must be gathered under the duty cycle, so each update costs
     charge_s / duty_cycle plus the measurement overhead in wall-clock time.
-    An infinite charge time yields a rate of zero.
+    An infinite charge time yields a rate of zero.  An array of charge times
+    gives an array of rates.
     """
-    if not charge_s > 0:
+    charge = np.asarray(charge_s, dtype=float)
+    if not (charge > 0).all():
         raise ParameterError(f"charge_s must be positive, got {charge_s}")
     if not 0 < duty_cycle <= 1:
         raise ParameterError(f"duty_cycle must be in (0, 1], got {duty_cycle}")
@@ -262,5 +272,5 @@ def update_rate(charge_s: float, duty_cycle: float,
         raise ParameterError(
             f"measurement_overhead_s must be >= 0, got {measurement_overhead_s}"
         )
-    period = charge_s / duty_cycle + measurement_overhead_s
-    return 3600.0 / period
+    rate = 3600.0 / (charge / duty_cycle + measurement_overhead_s)
+    return rate if rate.ndim else float(rate)

@@ -6,11 +6,13 @@ import json
 import math
 from importlib import resources
 
+import numpy as np
 import pytest
 
 from chirploc.cli import COMMANDS, main
 from chirploc.config import DEFAULT_CONFIG, load_config, resolve_config
 from chirploc.errors import ConfigError
+from chirploc.tables import ResultTable
 
 
 def parse_csv(text: str):
@@ -604,6 +606,15 @@ def test_sweep_runtime_error_exits_three(capsys):
 
 
 # ------------------------------------------------------------ shared plumbing
+
+def test_result_table_cells_print_as_str():
+    # shortest round-trip digits and literal inf / nan, for numpy floats too
+    table = ResultTable(["a", "b", "c", "d", "e", "f"], metadata={"seed": "0"})
+    table.add(np.float64(1.5), 0.1, math.inf, -math.inf, math.nan, "x")
+    table.add(1e-05, 1e16, np.float64(math.inf), 3, np.int64(4), True)
+    assert table.to_csv() == ("# seed: 0\na,b,c,d,e,f\n1.5,0.1,inf,-inf,nan,x\n"
+                              "1e-05,1e+16,inf,3,4,True\n")
+
 
 @pytest.mark.parametrize("command,assignment", [
     ("size-buffer", "chirp.f_start_hz=abc"),

@@ -422,3 +422,58 @@ def test_update_rate_examples():
 def test_update_rate_validation(args):
     with pytest.raises(ParameterError):
         update_rate(*args)
+
+
+# ------------------------------------------------------- grids as columns
+
+def scalar_chain(distance: float, harvester: HarvesterSpec, scenario,
+                 overhead: float):
+    """Oracle: one distance through the chain in Python floats and ``math``,
+    as the tables computed each row before they worked on columns."""
+    p_in = 27.0 + 0.0 + 2.15 - path_loss_db(distance)
+    p_eff = p_in + 10.0 * math.log10(harvester.eta_antenna)
+    if p_eff < harvester.p_in_min or p_eff > harvester.p_in_max:
+        p = 0.0
+    else:
+        curve = harvester.efficiency_curve
+        eta = float(np.interp(p_eff, [x for x, _ in curve], [e for _, e in curve]))
+        p = harvester.eta_storage * eta * 10.0 ** ((p_eff - 30.0) / 10.0)
+    energy = buffer_energy(6.8e-5, scenario.v_end, scenario.v_start)
+    t = math.inf if p == 0.0 else energy / p
+    return p_in, p, t, 3600.0 / (t / 0.10 + overhead)
+
+
+@pytest.mark.parametrize("harvester", [
+    HARVESTER, HarvesterSpec(eta_antenna=0.8, eta_storage=0.9)],
+    ids=["lossless", "lossy"])
+def test_columns_match_the_scalar_chain_bit_for_bit(harvester):
+    # 0.05-40 m crosses both edges of the sensitivity window
+    d = inclusive_grid(0.05, 40.0, 0.0137)
+    scenario = ChargeScenario.update(harvester)
+    p_in = friis_received_power(RfLink(distance=d))
+    p = harvester_output(p_in, harvester)
+    t = charge_time(6.8e-5, scenario, p)
+    rate = update_rate(t, 0.10, 2.0)
+    got = np.stack([p_in, p, t, rate], axis=1)
+    want = np.array([scalar_chain(x, harvester, scenario, 2.0)
+                     for x in d.tolist()])
+    assert np.isinf(want[:, 2]).any() and (want[:, 1] > 0).any()
+    assert got.tobytes() == want.tobytes()
+    # a scalar is a grid of one, and comes back a float
+    for i in (0, 1000, d.size - 1):
+        scalar = friis_received_power(RfLink(distance=float(d[i])))
+        assert type(scalar) is float and scalar == p_in[i]
+        assert harvester_output(scalar, harvester) == p[i]
+        assert charge_time(6.8e-5, scenario, float(p[i])) == t[i]
+        assert update_rate(float(t[i]), 0.10, 2.0) == rate[i]
+
+
+def test_a_link_grid_names_its_first_non_positive_distance():
+    with pytest.raises(ParameterError, match=r"positive, got -0\.5$"):
+        RfLink(distance=np.array([1.0, -0.5, 0.0]))
+    with pytest.raises(ParameterError):
+        charge_time(1.0, ChargeScenario("test", 0.0, 1.0), np.array([1.0, -1e-9]))
+    with pytest.raises(ParameterError):
+        update_rate(np.array([1.0, 0.0]), 0.10)
+    with pytest.raises(ParameterError):
+        harvester_output(np.array([0.0, math.nan]), HARVESTER)
