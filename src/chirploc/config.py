@@ -202,7 +202,10 @@ def _grid(resolved: dict, name: str) -> np.ndarray:
                     for k in ("d_min_m", "d_max_m", "d_step_m"))
     if not step > 0:
         raise ConfigError(f"{name}.d_step_m must be positive, got {step}")
-    return inclusive_grid(lo, hi, step)
+    try:
+        return inclusive_grid(lo, hi, step)
+    except ParameterError as exc:
+        raise ConfigError(f"{name}.d_step_m: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -247,6 +250,10 @@ class ScenarioConfig:
                           ("fsk.sample_rate_hz", fsk.sample_rate)):
             window = ReceiveWindow(timeline.wakeup_time,
                                    timeline.capture_duration, rate)
+            if not math.isfinite(window.duration * rate):
+                raise ConfigError(
+                    f"timeline.capture_duration_s ({timeline.capture_duration})"
+                    f" overflows the sample count at {key} = {rate}")
             if window.n_samples == 0:
                 raise ConfigError(
                     f"timeline.capture_duration_s ({timeline.capture_duration})"

@@ -18,6 +18,7 @@ from .errors import ParameterError
 
 __all__ = [
     "C_LIGHT",
+    "GRID_POINTS_MAX",
     "RfLink",
     "ArraySpec",
     "ChargeScenario",
@@ -184,17 +185,26 @@ def array_factor(array: ArraySpec, target_angle: float) -> float:
     return array.element_gain + 10.0 * math.log10(power_ratio)
 
 
+# The most points one distance or steer grid may hold: a 1 cm grid over
+# 1 km.  A finer grid is refused before anything is allocated.
+GRID_POINTS_MAX = 100_000
+
+
 def inclusive_grid(lo: float, hi: float, step: float) -> np.ndarray:
     """``lo, lo + step, ...`` up to ``hi`` for a positive ``step``.
 
     The last point is the largest ``lo + k*step <= hi``, tolerant to 1e-9
     of a step and clipped at ``hi`` so that rounding never carries a point
-    past it.  Empty when ``hi < lo``.
+    past it.  Empty when ``hi < lo``.  The points are counted first, and
+    more than ``GRID_POINTS_MAX`` of them is a ``ParameterError``.
     """
     if hi < lo:
         return np.zeros(0)
-    n = int(np.floor((hi - lo) / step + 1e-9)) + 1
-    return np.minimum(lo + step * np.arange(n), hi)
+    steps = (hi - lo) / step + 1e-9
+    if not steps < GRID_POINTS_MAX:
+        raise ParameterError(f"a step of {step} from {lo} to {hi} makes more "
+                             f"than {GRID_POINTS_MAX} grid points")
+    return np.minimum(lo + step * np.arange(math.floor(steps) + 1), hi)
 
 
 def beam_sweep_precharge(

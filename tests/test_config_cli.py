@@ -4,6 +4,8 @@ import dataclasses
 import hashlib
 import json
 import math
+import time
+import tracemalloc
 from importlib import resources
 
 import numpy as np
@@ -647,6 +649,8 @@ def test_result_table_cells_print_as_str():
     ("range", "timeline.wakeup_time_s=-1"),
     ("size-buffer", "harvester.eta_ldo_worst=2"),
     ("charge-curve", "link.duty_cycle=2"),
+    # finite, but its sample count overflows
+    ("size-buffer", "timeline.capture_duration_s=1e305"),
 ])
 def test_malformed_values_exit_two(capsys, command, assignment):
     code, out, err = run_cli(capsys, command, "--set", assignment)
@@ -737,6 +741,48 @@ def test_capture_without_a_sample_is_rejected_at_load(capsys, sets, rate_key):
     assert err.startswith("config error: timeline.capture_duration_s")
     assert rate_key in err
     assert out == ""
+
+
+@pytest.mark.parametrize("command, assignment, code, message", [
+    # today's 1e-7 grid alone held 6e7 points; 1e-12 would ask for 6e12
+    ("charge-curve", "grid.d_step_m=1e-7", 2, "config error: grid.d_step_m: "),
+    ("update-rate", "grid.d_step_m=1e-12", 2, "config error: grid.d_step_m: "),
+    ("range", "range_grid.d_step_m=1e-12", 2,
+     "config error: range_grid.d_step_m: "),
+    ("range", "range_grid.d_step_m=5e-324", 2,
+     "config error: range_grid.d_step_m: "),
+    # the sweep's other bad steps exit 3 as well
+    ("sweep", "sweep.step_deg=1e-9", 3, "error: "),
+])
+def test_grids_over_the_budget_fail_before_allocating(capsys, command,
+                                                      assignment, code, message):
+    main(["size-buffer"])  # argparse and the config data are loaded
+    capsys.readouterr()
+    tracemalloc.start()
+    started = time.perf_counter()
+    try:
+        got, out, err = run_cli(capsys, command, "--set", assignment)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - started < 1.0
+    assert peak < 1e6
+    assert got == code
+    assert err.startswith(message) and "more than 100000 grid points" in err
+    assert out == ""
+
+
+def test_the_grid_budget_binds_only_where_the_grid_is_drawn(capsys):
+    for command, assignment in [("size-buffer", "grid.d_step_m=1e-12"),
+                                ("charge-curve", "range_grid.d_step_m=1e-12")]:
+        assert run_cli(capsys, command, "--set", assignment)[0] == 0
+    # 100,000 points is the budget itself
+    cfg = load_config(sets=["grid.d_min_m=1", "grid.d_max_m=100000",
+                            "grid.d_step_m=1"])
+    assert cfg.grid().size == 100_000
+    with pytest.raises(ConfigError, match="grid.d_step_m"):
+        load_config(sets=["grid.d_min_m=1", "grid.d_max_m=100001",
+                          "grid.d_step_m=1"]).grid()
 
 
 def test_unknown_set_key_exits_two(capsys):
