@@ -1,8 +1,9 @@
 """Deterministic CSV result tables.
 
 Metadata rides along as leading '#' comment lines so a result file is
-self-describing: tool version, command, config hash, and seed.  Formatting
-is fixed (shortest round-trip floats, literal inf/nan, '.' decimal point)
+self-describing: tool version, command, config hash, and seed.  Each cell
+is written as ``str()`` of its value: floats (numpy's too) as their
+shortest round-trip digits with literal inf/nan and a '.' decimal point,
 so identical runs produce identical bytes.
 """
 
