@@ -554,28 +554,118 @@ from chirploc.ranging import simulate_ranging
 cfg = load_config(sets=json.loads(sys.argv[1]))
 for i, d in enumerate(json.loads(sys.argv[2])):
     r = simulate_ranging(cfg.chirp, cfg.channel_at(d, seed_offset=i),
-                         cfg.timeline, mode="one-bit-backscatter",
+                         cfg.timeline, mode=sys.argv[3],
                          fsk=cfg.fsk, threshold=cfg.comparator_threshold)
     print(r.lag.hex(), r.peak.hex())
 """
 
 
-@pytest.mark.parametrize("setting", list(GOLDEN))
-def test_one_bit_exchanges_match_their_golden_bits(setting):
-    # OpenBLAS splits a dot product of more than 10,000 samples across its
-    # threads, so a capture that long scores with bits that follow the
-    # thread count; a child held to one thread, as the benchmark holds
-    # itself, scores the same bits on any host
-    sets, expected = GOLDEN[setting]
+def _golden_bits(mode, sets):
+    """float.hex of (lag, peak) at GOLDEN_DISTANCES from a fresh child.
+
+    OpenBLAS splits a dot product of more than 10,000 samples across its
+    threads, so a capture that long scores with bits that follow the thread
+    count; a child held to one thread, as the benchmark holds itself, scores
+    the same bits on any host.
+    """
     src = os.path.dirname(os.path.dirname(chirploc.__file__))
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
            "PYTHONPATH": os.pathsep.join(
                filter(None, [src, os.environ.get("PYTHONPATH")]))}
     child = subprocess.run(
         [sys.executable, "-c", GOLDEN_CHILD, json.dumps(sets),
-         json.dumps(GOLDEN_DISTANCES)],
+         json.dumps(GOLDEN_DISTANCES), mode],
         env=env, capture_output=True, text=True, timeout=120, check=True)
-    assert [tuple(line.split()) for line in child.stdout.splitlines()] == expected
+    return [tuple(line.split()) for line in child.stdout.splitlines()]
+
+
+@pytest.mark.parametrize("setting", list(GOLDEN))
+def test_one_bit_exchanges_match_their_golden_bits(setting):
+    sets, expected = GOLDEN[setting]
+    assert _golden_bits("one-bit-backscatter", sets) == expected
+
+
+# float.hex of ideal-audio (lag, peak), seeded as GOLDEN.  The 36 ms capture
+# takes the locator's FFT branch; the extreme amplitudes keep every energy
+# clear of underflow and overflow only through the locator's scaling.
+IDEAL_GOLDEN = {
+    "defaults": ([], [
+        ("0x1.2fc962fc962fdp-6", "0x1.0000000000000p+0"),
+        ("0x1.098ead65b7a33p-6", "0x1.0000000000000p+0"),
+        ("0x1.bd44f3078263bp-7", "0x1.0000000000000p+0"),
+        ("0x1.5db22d0e56042p-7", "0x1.0000000000000p+0"),
+        ("0x1.c2e6bdc805762p-8", "0x1.fffffffffffffp-1"),
+        ("0x1.6e978d4fdf3b6p-9", "0x1.ffffffffffffep-1"),
+    ]),
+    "noise-0.02": (["channel.noise_std=0.02"], [
+        ("0x1.2fc962fc962fdp-6", "0x1.ffd7bf74f0d7ap-1"),
+        ("0x1.098ead65b7a33p-6", "0x1.ffaa31911795ep-1"),
+        ("0x1.bd44f3078263bp-7", "0x1.ff1a555c6a9bep-1"),
+        ("0x1.5db22d0e56042p-7", "0x1.fdd5171259473p-1"),
+        ("0x1.c2e6bdc805762p-8", "0x1.fca7ae7dbbe64p-1"),
+        ("0x1.74bc6a7ef9db2p-9", "0x1.f841647698d62p-1"),
+    ]),
+    "noise-0.1": (["channel.noise_std=0.1"], [
+        ("0x1.2fc962fc962fdp-6", "0x1.fc3f3bd20c497p-1"),
+        ("0x1.098ead65b7a33p-6", "0x1.f7e4760df2bdfp-1"),
+        ("0x1.bd44f3078263bp-7", "0x1.eba6c1633dd0cp-1"),
+        ("0x1.5db22d0e56042p-7", "0x1.ce293532d2476p-1"),
+        ("0x1.c2e6bdc805762p-8", "0x1.bc29da55dc0e6p-1"),
+        ("0x1.810624dd2f1aap-9", "0x1.825fe770976eap-1"),
+    ]),
+    "echo-interpolated": ([
+        "channel.multipath=[[0.0005, 0.5]]",
+        "channel.interpolate_delays=true"], [
+        ("0x1.2bb0cf87d9c55p-6", "0x1.f3e0279190c75p-1"),
+        ("0x1.0a27983c131d6p-6", "0x1.f6ac85646ad75p-1"),
+        ("0x1.bab596de8ca12p-7", "0x1.fb3ab68e81f27p-1"),
+        ("0x1.56de8ca11bfd4p-7", "0x1.fca50455dd5bdp-1"),
+        ("0x1.d6b2dbd194238p-8", "0x1.f4ddbde9385dcp-1"),
+        ("0x1.81b4e81b4e81bp-9", "0x1.f2fb8a9891f9bp-1"),
+    ]),
+    "capture-4ms": ([
+        "timeline.capture_duration_s=0.004", "channel.noise_std=0.05"], [
+        ("0x1.2fc962fc962fdp-6", "0x1.fec32bcec2722p-1"),
+        ("0x1.098ead65b7a33p-6", "0x1.fdc372b56fa86p-1"),
+        ("0x1.bd44f3078263bp-7", "0x1.fa0dc450f0d07p-1"),
+        ("0x1.5db22d0e56042p-7", "0x1.f2be24b770eb3p-1"),
+        ("0x1.c2e6bdc805762p-8", "0x1.eb21b9d0c61d8p-1"),
+        ("0x1.6e978d4fdf3b6p-9", "0x1.d7c5eaf907763p-1"),
+    ]),
+    # a 60 ms chirp keeps every distance in range of the long capture
+    "capture-36ms": ([
+        "timeline.capture_duration_s=0.036", "chirp.duration_s=0.06",
+        "channel.noise_std=0.05"], [
+        ("0x1.2fc962fc962fdp-6", "0x1.feba4928d3176p-1"),
+        ("0x1.098ead65b7a33p-6", "0x1.fdd84dd0533e4p-1"),
+        ("0x1.bd44f3078263bp-7", "0x1.f9cfefaee9170p-1"),
+        ("0x1.5db22d0e56042p-7", "0x1.f3277198b6521p-1"),
+        ("0x1.c2e6bdc805762p-8", "0x1.e8c0c0d6dea1ep-1"),
+        ("0x1.6e978d4fdf3b6p-9", "0x1.d7fbdffb9f254p-1"),
+    ]),
+    "amplitude-1e-150": (["chirp.amplitude=1e-150"], [
+        ("0x1.2fc962fc962fdp-6", "0x1.0000000000000p+0"),
+        ("0x1.098ead65b7a33p-6", "0x1.0000000000000p+0"),
+        ("0x1.bd44f3078263bp-7", "0x1.0000000000000p+0"),
+        ("0x1.5db22d0e56042p-7", "0x1.0000000000000p+0"),
+        ("0x1.c2e6bdc805762p-8", "0x1.0000000000000p+0"),
+        ("0x1.6e978d4fdf3b6p-9", "0x1.fffffffffffffp-1"),
+    ]),
+    "amplitude-1e150": (["chirp.amplitude=1e150"], [
+        ("0x1.2fc962fc962fdp-6", "0x1.0000000000000p+0"),
+        ("0x1.098ead65b7a33p-6", "0x1.0000000000000p+0"),
+        ("0x1.bd44f3078263bp-7", "0x1.0000000000000p+0"),
+        ("0x1.5db22d0e56042p-7", "0x1.0000000000000p+0"),
+        ("0x1.c2e6bdc805762p-8", "0x1.0000000000000p+0"),
+        ("0x1.6e978d4fdf3b6p-9", "0x1.0000000000000p+0"),
+    ]),
+}
+
+
+@pytest.mark.parametrize("setting", list(IDEAL_GOLDEN))
+def test_ideal_exchanges_match_their_golden_bits(setting):
+    sets, expected = IDEAL_GOLDEN[setting]
+    assert _golden_bits("ideal-audio", sets) == expected
 
 
 @pytest.mark.xfail(strict=True, reason=(
