@@ -31,11 +31,13 @@ from .signals import (
     _cycles_per_sample,
     _readonly,
     _centred_pearson,
+    _locate,
+    _unit_scale,
+    _window_stats,
     fft_size,
     fsk_modulate,
     gen_chirp,
     one_bit_quantize,
-    xcorr_offset,
 )
 
 __all__ = [
@@ -207,12 +209,12 @@ def simulate_ranging(
     # samples into the chirp, and an interpolated window reads one further
     reach = round(timeline.wakeup_delay * rate) + window.n_samples + 1
     if mode == "ideal-audio":
-        reference = gen_chirp(chirp, reach)
+        matched = _audio_reference(chirp, reach, window.n_samples)
     else:
         matched = _backscatter_reference(
             dataclasses.replace(chirp, sample_rate=rate), reach,
             window.n_samples, fsk, threshold)
-        reference = matched[0]
+    reference = matched[0]
     # this tag's window reads only samples before ceil(its start) +
     # n_samples; two more absorb rounding in where the window lands
     heard = min(len(reference), window.n_samples + 2 + math.ceil(
@@ -223,7 +225,7 @@ def simulate_ranging(
                              interpolate=channel.interpolate_delays)
 
     if mode == "ideal-audio":
-        lag, peak = xcorr_offset(reference, captured)
+        lag, peak = _locate(*matched[1:], _unit_scale(captured.samples), rate)
     else:
         lag, peak = _locate_backscatter(matched, captured, fsk, threshold)
 
@@ -235,6 +237,17 @@ def simulate_ranging(
     return RangingResult(
         lag=lag, peak=peak, tof=distance / c, distance=distance, clamped=clamped
     )
+
+
+@lru_cache(maxsize=1)
+def _audio_reference(chirp: ChirpSpec, reach: int, m: int) -> tuple:
+    """The first ``reach`` samples of ``chirp``, their ``_unit_scale`` copy
+    and its ``_window_stats`` for ``m``-sample windows: the ideal-audio
+    locator's beacon side, built once per config.  Only the last config is
+    kept, about 126 KB at the defaults; every array is read-only."""
+    reference = gen_chirp(chirp, reach)
+    x = _readonly(_unit_scale(reference.samples))
+    return reference, x, tuple(map(_readonly, _window_stats(x, m)))
 
 
 @lru_cache(maxsize=1)

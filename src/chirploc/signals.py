@@ -263,22 +263,29 @@ def _centred_pearson(xz: np.ndarray, yz: np.ndarray, ey2: float) -> float:
     return min(1.0, max(-1.0, peak))
 
 
-def _sliding_pearson(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Pearson correlation of y against every full window of x.
+def _unit_scale(x: np.ndarray) -> np.ndarray:
+    """``x`` times the power of two that brings its peak into [1, 2): exact."""
+    return np.ldexp(x, 1 - math.frexp(np.abs(x).max())[1])
 
-    Sliding window sums give the per-lag mean and energy of the reference
-    without materializing an (n-m+1, m) matrix.  Large problems route the
-    dot products through the FFT; callers that need exact values at specific
-    lags should recompute them with ``pearson_window``.
-    """
-    n, m = x.size, y.size
-    y_mean = y.mean()
-    ey2 = float(np.dot(y - y_mean, y - y_mean))
 
+def _window_stats(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The reference half of ``_sliding_pearson``: the sum and centred energy
+    of every ``m``-sample window of ``x``, from sliding window sums."""
     csum = np.concatenate(([0.0], np.cumsum(x)))
     csum2 = np.concatenate(([0.0], np.cumsum(x * x)))
     s1 = csum[m:] - csum[:-m]
     s2 = csum2[m:] - csum2[:-m]
+    return s1, np.maximum(s2 - s1 * s1 / m, 0.0)
+
+
+def _sliding_pearson(x: np.ndarray, stats: tuple, y: np.ndarray) -> np.ndarray:
+    """Pearson correlation of y against every full window of x, whose
+    ``_window_stats`` are ``stats``.  Large problems take the dot products
+    through the FFT; ``pearson_window`` gives exact values at specific lags."""
+    n, m = x.size, y.size
+    s1, ex2 = stats
+    y_mean = y.mean()
+    ey2 = float(np.dot(y - y_mean, y - y_mean))
     if n * m <= 5e7:
         dot = np.correlate(x, y, mode="valid")
     else:
@@ -288,8 +295,6 @@ def _sliding_pearson(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         spec = np.fft.rfft(x, size) * np.fft.rfft(y[::-1], size)
         dot = np.fft.irfft(spec, size)[m - 1:n]
     num = dot - s1 * y_mean
-    ex2 = np.maximum(s2 - s1 * s1 / m, 0.0)
-
     denom = np.sqrt(ex2 * ey2)
     with np.errstate(divide="ignore", invalid="ignore"):
         corr = np.where(denom > 0.0, num / denom, 0.0)
@@ -297,6 +302,28 @@ def _sliding_pearson(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return np.where(ex2 == 0.0, 1.0, 0.0)
     corr[ex2 == 0.0] = 0.0
     return corr
+
+
+def _locate(x: np.ndarray, stats: tuple, y: np.ndarray, rate: float) -> tuple:
+    """``xcorr_offset`` of unit-scaled x and y, given x's window stats."""
+    yz = y - y.mean()
+    ey2 = float(np.dot(yz, yz))
+    corr = _sliding_pearson(x, stats, y)
+
+    # The scan locates the neighbourhood of the maximum; every lag within scan
+    # tolerance of it is then recomputed directly so the result does not depend
+    # on accumulated rounding, and true ties resolve to the smallest lag.
+    candidates = np.nonzero(corr >= corr.max() - 1e-6)[0]
+    if candidates.size > 4096:
+        # a plateau this wide is exact ties (periodic or degenerate windows);
+        # the smallest lags plus the scan argmax cover every possible winner
+        candidates = np.union1d(candidates[:4096], [int(np.argmax(corr))])
+    best_lag, best_peak = 0, -np.inf
+    for k in candidates:
+        peak = pearson_window(x, int(k), yz, ey2)
+        if peak > best_peak:
+            best_peak, best_lag = peak, int(k)
+    return best_lag / rate, best_peak
 
 
 def xcorr_offset(reference: Waveform, segment: Waveform) -> tuple[float, float]:
@@ -327,28 +354,8 @@ def xcorr_offset(reference: Waveform, segment: Waveform) -> tuple[float, float]:
         raise ParameterError(
             f"segment ({m} samples) is longer than reference ({n} samples)"
         )
-    # Pearson scores ignore scale, so one power of two that brings the largest
-    # |sample| into [1, 2) rescales both exactly and keeps every energy finite
-    e = math.frexp(max(np.abs(x).max(), np.abs(y).max()))[1] - 1
-    if e:
-        x, y = np.ldexp(x, -e), np.ldexp(y, -e)
-
-    yz = y - y.mean()
-    ey2 = float(np.dot(yz, yz))
-    corr = _sliding_pearson(x, y)
-
-    # The scan locates the neighbourhood of the maximum; every lag within
-    # scan tolerance of it is then recomputed directly so the result does not
-    # depend on accumulated rounding, and true ties resolve to the smallest
-    # lag.
-    candidates = np.nonzero(corr >= corr.max() - 1e-6)[0]
-    if candidates.size > 4096:
-        # a plateau this wide is exact ties (periodic or degenerate windows);
-        # the smallest lags plus the scan argmax cover every possible winner
-        candidates = np.union1d(candidates[:4096], [int(np.argmax(corr))])
-    best_lag, best_peak = 0, -np.inf
-    for k in candidates:
-        peak = pearson_window(x, int(k), yz, ey2)
-        if peak > best_peak:
-            best_peak, best_lag = peak, int(k)
-    return best_lag / rate_x, best_peak
+    # Pearson scores ignore scale, so each signal gets its own power of two
+    # (``_unit_scale``): every term of a score then scales exactly, and a
+    # reference's scaled samples and window stats never depend on the segment
+    x = _unit_scale(x)
+    return _locate(x, _window_stats(x, m), _unit_scale(y), rate_x)

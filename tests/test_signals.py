@@ -20,7 +20,12 @@ from chirploc import (
     one_bit_quantize,
     xcorr_offset,
 )
-from chirploc.signals import _sliding_pearson, _square_wave, pearson_window
+from chirploc.signals import (
+    _sliding_pearson,
+    _square_wave,
+    _window_stats,
+    pearson_window,
+)
 from fsk_demod import fsk_demodulate
 
 DEFAULT_CHIRP = ChirpSpec(f_start=20e3, f_stop=40e3, duration=0.050,
@@ -393,7 +398,8 @@ def test_xcorr_tie_cap_keeps_the_smallest_lag():
     # scan's own argmax lies far from the smallest of them
     tone = gen_chirp(ChirpSpec(64e3, 64e3, 0.086, 192e3))
     seg = Waveform(tone.samples[16415:16511], tone.sample_rate)
-    corr = _sliding_pearson(tone.samples, seg.samples)
+    corr = _sliding_pearson(tone.samples, _window_stats(tone.samples, 96),
+                            seg.samples)
     assert (corr >= corr.max() - 1e-6).sum() > 4096
     exact = _exact_pearson(tone.samples, seg.samples)
     lag, peak = xcorr_offset(tone, seg)
@@ -407,7 +413,7 @@ def test_sliding_pearson_fft_branch_matches_exact_windows():
     k, m = 1234, 6000
     y = x[k:k + m] + 0.1 * rng.normal(size=m)
     assert x.size * m > 5e7  # large enough for the FFT branch
-    corr = _sliding_pearson(x, y)
+    corr = _sliding_pearson(x, _window_stats(x, m), y)
     exact = _exact_pearson(x, y)
     assert int(np.argmax(corr)) == int(np.argmax(exact)) == k
     assert np.allclose(corr, exact, rtol=0.0, atol=1e-9)
