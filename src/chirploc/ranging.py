@@ -127,6 +127,8 @@ class BeaconSet:
         k, dims = pos.shape
         if dims not in (2, 3):
             raise ParameterError(f"supported dimensions are 2 and 3, got {dims}")
+        if not np.isfinite(pos).all():
+            raise ParameterError("positions must be finite")
         if k < dims + 1:
             raise ParameterError(
                 f"need at least {dims + 1} beacons for a {dims}-D fix, got {k}"
@@ -409,13 +411,14 @@ def trilaterate(
         raise ParameterError(
             f"need one distance per beacon: {k} beacons, {d.size} distances"
         )
-    if (d < 0).any():
-        raise ParameterError("distances must be >= 0")
+    # NaN passes ``d < 0`` and would reach LAPACK, which rejects it
+    if not (np.isfinite(d) & (d >= 0)).all():
+        raise ParameterError(f"distances must be finite and >= 0, got {d}")
 
     x = pos.mean(axis=0) if initial_guess is None else np.asarray(
         initial_guess, dtype=np.float64).copy()
-    if x.shape != (dims,):
-        raise ParameterError(f"initial_guess must have {dims} coordinates")
+    if x.shape != (dims,) or not np.isfinite(x).all():
+        raise ParameterError(f"initial_guess must have {dims} finite coordinates")
 
     residual = None
     for iteration in range(1, max_iterations + 1):

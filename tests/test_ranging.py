@@ -32,6 +32,7 @@ from chirploc import (
     sample_window,
     simulate_ranging,
     trilaterate,
+    xcorr_offset,
 )
 from chirploc.config import load_config
 from chirploc.signals import _carrier_phase, pearson_window
@@ -289,6 +290,36 @@ def test_trilaterate_matches_grid_search_oracle():
 def test_trilaterate_rejects_count_mismatch():
     with pytest.raises(ParameterError):
         trilaterate(SQUARE_2D, np.array([1.0, 2.0, 3.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("index", [0, 3])
+def test_trilaterate_rejects_non_finite_distances(capfd, bad, index):
+    d = np.array([1.0, 2.0, 3.0, 4.0])
+    d[index] = bad
+    with pytest.raises(ParameterError, match="distances must be finite"):
+        trilaterate(SQUARE_2D, d)
+    # rejected before the solver: LAPACK would print DLASCL errors first
+    assert capfd.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("guess", [[np.nan, 1.0], [2.0, np.inf]])
+def test_trilaterate_rejects_a_non_finite_initial_guess(capfd, guess):
+    with pytest.raises(ParameterError, match="finite coordinates"):
+        trilaterate(SQUARE_2D, np.array([3.0, 4.0, 5.0, 4.0]),
+                    initial_guess=np.array(guess))
+    assert capfd.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_beacon_set_rejects_non_finite_positions(capfd, bad):
+    pos = SQUARE_2D.copy()
+    pos[1, 1] = bad
+    with pytest.raises(ParameterError, match="positions must be finite"):
+        BeaconSet(pos)
+    with pytest.raises(ParameterError, match="positions must be finite"):
+        trilaterate(pos, np.array([3.0, 4.0, 5.0, 4.0]))
+    assert capfd.readouterr() == ("", "")
 
 
 def test_trilaterate_rejects_too_few_beacons():
@@ -748,6 +779,66 @@ def test_cached_reference_side_is_read_only():
     for array in (reference.samples, cycles, spectra, rotations):
         with pytest.raises(ValueError):
             array[0] = 0
+
+
+
+def test_cached_audio_reference_is_read_only():
+    # the default 1 ms capture: 192 samples, a 3840-sample wake-up delay
+    key = (CHIRP, 3840 + 192 + 1, 192)
+    memo = ranging._audio_reference(*key)
+    assert ranging._audio_reference(*key) is memo
+    reference, x, (s1, ex2) = memo
+    assert (len(reference), x.size, s1.size, ex2.size) == (4033, 4033,
+                                                           3842, 3842)
+    for array in (reference.samples, x, s1, ex2):
+        with pytest.raises(ValueError):
+            array[0] = 0
+
+
+def _ideal_bits(sets):
+    """``_golden_bits("ideal-audio", sets)``, computed in this process."""
+    cfg = load_config(sets=sets)
+    bits = []
+    for i, d in enumerate(GOLDEN_DISTANCES):
+        r = simulate_ranging(cfg.chirp, cfg.channel_at(d, seed_offset=i),
+                             cfg.timeline, mode="ideal-audio")
+        bits.append((r.lag.hex(), r.peak.hex()))
+    return bits
+
+
+# a sweep to 30 kHz: the same reach and window as the defaults, so only the
+# chirp in the memo's key tells the two configs apart
+OTHER_CHIRP = ["chirp.f_stop_hz=30000"]
+
+
+def test_alternating_chirps_match_a_fresh_process():
+    defaults = IDEAL_GOLDEN["defaults"][1]  # from a fresh child
+    other = _golden_bits("ideal-audio", OTHER_CHIRP)
+    assert other != defaults  # so a stale memo would show
+    ranging._audio_reference.cache_clear()
+    for sets, expected in [([], defaults), (OTHER_CHIRP, other),
+                           ([], defaults)]:
+        assert _ideal_bits(sets) == expected
+
+
+@pytest.mark.parametrize("setting", list(IDEAL_GOLDEN))
+def test_xcorr_offset_matches_the_memoized_locator(monkeypatch, setting):
+    captured = []
+
+    def recording_sample_window(*args, **kwargs):
+        captured.append(sample_window(*args, **kwargs))
+        return captured[-1]
+
+    monkeypatch.setattr(ranging, "sample_window", recording_sample_window)
+    cfg = load_config(sets=IDEAL_GOLDEN[setting][0])
+    rate = cfg.chirp.sample_rate
+    for i, d in enumerate(GOLDEN_DISTANCES):
+        r = simulate_ranging(cfg.chirp, cfg.channel_at(d, seed_offset=i),
+                             cfg.timeline, mode="ideal-audio")
+        m = len(captured[-1])
+        reach = round(cfg.timeline.wakeup_delay * rate) + m + 1
+        assert xcorr_offset(gen_chirp(cfg.chirp, reach), captured[-1]) == (
+            r.lag, r.peak)
 
 
 # four blocks, the last one partial: 8002 lags, 2001 to a block
