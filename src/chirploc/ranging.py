@@ -411,7 +411,7 @@ def trilaterate(
         raise ParameterError(
             f"need one distance per beacon: {k} beacons, {d.size} distances"
         )
-    # NaN passes ``d < 0`` and would reach LAPACK, which rejects it
+    # LAPACK would reject a NaN or infinity only mid-solve, printing errors
     if not (np.isfinite(d) & (d >= 0)).all():
         raise ParameterError(f"distances must be finite and >= 0, got {d}")
 

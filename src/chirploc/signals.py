@@ -340,6 +340,12 @@ def xcorr_offset(reference: Waveform, segment: Waveform) -> tuple[float, float]:
 
     Conventions for degenerate windows: two zero-variance windows correlate
     at 1.0, a zero-variance window against a varying one at 0.0.
+
+    Each signal is first scaled by its own power of two, bringing its
+    largest |sample| into [1, 2).  That is exact and keeps every energy
+    finite, so a score keeps its bits unless an intermediate goes subnormal.
+    The reference's scaled samples and window stats never depend on the
+    segment, so ``simulate_ranging`` builds them once per config.
     """
     x, rate_x = reference.samples, reference.sample_rate
     y, rate_y = segment.samples, segment.sample_rate
@@ -354,8 +360,8 @@ def xcorr_offset(reference: Waveform, segment: Waveform) -> tuple[float, float]:
         raise ParameterError(
             f"segment ({m} samples) is longer than reference ({n} samples)"
         )
-    # Pearson scores ignore scale, so each signal gets its own power of two
-    # (``_unit_scale``): every term of a score then scales exactly, and a
-    # reference's scaled samples and window stats never depend on the segment
+    # Pearson scores ignore scale: with each signal at its own power of two,
+    # every term of a score scales by an exact power of two, and the
+    # exponents ``_centred_pearson`` splits off shift by even amounts
     x = _unit_scale(x)
     return _locate(x, _window_stats(x, m), _unit_scale(y), rate_x)
