@@ -11,6 +11,8 @@ reach it only as the FSK square wave the tag reflects.  The beacon locates
 the slice with one matched filter that scores that reflection against the
 reflection each window of the reference chirp would produce, at every lag
 at once (``_scan``), then rescores the best lags exactly (``_exact_scores``).
+A coarse locate of the reflection's carrier advance per 50 RF samples first
+picks the few overlap-save blocks of lags the scan needs (``_coarse_blocks``).
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .signals import (
     _readonly,
     _centred_pearson,
     _locate,
+    _sliding_pearson,
     _unit_scale,
     _window_stats,
     fft_size,
@@ -55,6 +58,15 @@ MODES = ("ideal-audio", "one-bit-backscatter")
 HARMONICS = (1, 3)
 # Lags the scan hands to exact rescoring: a margin for the dropped harmonics.
 RESCORED_LAGS = 32
+# RF samples to a bin of the coarse locate that picks the scan's blocks:
+# 5 us at the default 10 MHz.
+COARSE_BIN = 50
+# Lags on each side of the coarse lag whose blocks the scan runs: 2 ms of
+# lag, 0.69 m of range, at 10 MHz.
+COARSE_REACH = 20_000
+# The least lead of the coarse peak over every coarse score farther than
+# COARSE_REACH from it at which the scan skips blocks.
+COARSE_MARGIN = 0.05
 
 
 @dataclass(frozen=True)
@@ -257,17 +269,21 @@ def _backscatter_reference(chirp: ChirpSpec, reach: int, m: int,
                            fsk: FskConfig, threshold: float) -> tuple:
     """The beacon side of the one-bit matched filter, built once per config.
 
-    Returns ``(reference, cycles, size, step, lags, spectra, rotations)``:
-    the first ``reach`` samples of ``chirp`` (at the RF rate), the carrier
-    cycles ``fsk_modulate`` advances per comparator bit of each, the block
-    FFT size, the lags between block starts, the number of lags an
+    Returns ``(reference, cycles, size, step, lags, spectra, rotations,
+    coarse)``: the first ``reach`` samples of ``chirp`` (at the RF rate),
+    the carrier cycles ``fsk_modulate`` advances per comparator bit of each,
+    the block FFT size, the lags between block starts, the number of lags an
     ``m``-sample window can take, and, with ``P`` the modulator's carrier
     phase and h the i-th of ``HARMONICS``, ``spectra[b, i]``, the
     ``size``-point FFT of ``exp(2 pi i h P)`` from sample ``b * step`` on,
-    and ``rotations[i] = conj(exp(2 pi i h P[:lags]))``.  Blocks follow the
-    capture length alone: ``size = min(fft_size(3 m), fft_size(n))``.  Only
-    the last config is kept, about 19 MB at the defaults; every array is
-    read-only, so no exchange can change what a later one reads.
+    and ``rotations[i] = conj(exp(2 pi i h P[:lags]))``.  ``coarse`` is
+    ``_coarse_blocks``' reference: the advance of ``P`` over each
+    ``COARSE_BIN`` samples from sample 0 on, and its ``_window_stats`` for
+    the ``_coarse_bins(m)`` bins a capture keeps, or None when it keeps
+    none.  Blocks follow the capture length alone: ``size = min(fft_size(3
+    m), fft_size(n))``.  Only the last config is kept, about 19 MB at the
+    defaults; every array is read-only, so no exchange can change what a
+    later one reads.
     """
     reference = gen_chirp(chirp, reach)
     ref_bits = one_bit_quantize(reference, threshold)
@@ -281,54 +297,94 @@ def _backscatter_reference(chirp: ChirpSpec, reach: int, m: int,
     tones = np.array([np.exp(2j * np.pi * h * phase) for h in HARMONICS])
     spectra = np.array([np.fft.fft(tones[:, start:start + size], size)
                         for start in range(0, lags, step)])
+    coarse = None
+    bins = _coarse_bins(m)
+    if bins > 0:
+        advance = _readonly(np.diff(phase[::COARSE_BIN]))
+        coarse = (advance, tuple(map(_readonly, _window_stats(advance, bins))))
     return (reference, _readonly(_cycles_per_sample(ref_bits.bits, fsk)),
             size, step, lags, _readonly(spectra),
-            _readonly(np.conj(tones[:, :lags])))
+            _readonly(np.conj(tones[:, :lags])), coarse)
 
 
-def _scan(matched: tuple, rfz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _coarse_bins(m: int) -> int:
+    """``COARSE_BIN``-sample bins an ``m``-sample capture's coarse stream
+    keeps: its edges are samples 0, ``COARSE_BIN``, ... up to ``m - 1``, and
+    the bin at each end is dropped."""
+    return (m - 1) // COARSE_BIN - 2
+
+
+def _coarse_blocks(matched: tuple, rf: np.ndarray) -> range:
+    """The overlap-save blocks ``_scan`` needs for the reflection ``rf``.
+
+    Each sign change of ``rf`` is half a carrier cycle on from the last, so
+    the carrier phase, interpolated at the bin edges of ``_coarse_bins``,
+    advances over each bin by what the comparator's duty cycle there gives.
+    ``_sliding_pearson`` locates that stream in the same advance of the
+    reference.  Returns the blocks holding a lag within ``COARSE_REACH`` of
+    the coarse lag, or every block when the coarse peak leads every score
+    farther than ``COARSE_REACH`` from it by less than ``COARSE_MARGIN``,
+    the capture keeps no bin, or ``rf`` changes sign less than twice.
+    """
+    step, lags, spectra = matched[3:6]
+    coarse = matched[7]
+    every = range(len(spectra))
+    flips = np.flatnonzero(rf[1:] != rf[:-1])
+    if coarse is None or flips.size < 2:
+        return every
+    # np.interp clamps before the first sign change and past the last, so
+    # the bin at each end is dropped
+    edges = np.arange(_coarse_bins(rf.size) + 3) * COARSE_BIN
+    phase = np.interp(edges, flips, np.arange(flips.size) / 2)
+    scores = _sliding_pearson(*coarse, np.diff(phase)[1:-1])
+    best = int(np.argmax(scores))
+    reach = COARSE_REACH // COARSE_BIN
+    far = np.concatenate((scores[:max(best - reach, 0)],
+                          scores[best + reach + 1:]))
+    if far.size and scores[best] - far.max() < COARSE_MARGIN:
+        return every
+    # the stream's first kept bin starts COARSE_BIN samples into the capture
+    lag = (best - 1) * COARSE_BIN
+    return range(max(lag - COARSE_REACH, 0) // step,
+                 min(lag + COARSE_REACH, lags - 1) // step + 1)
+
+
+def _scan(matched: tuple, rfz: np.ndarray,
+          blocks: range | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The ``RESCORED_LAGS`` lags, in order, at which the square-wave
     replica truncated to ``HARMONICS`` best matches the centred reflection
     ``rfz``, and their scores: the best of each overlap-save block's best,
-    so the best of all lags unless the next one ties.
+    so the best of all lags in ``blocks`` (all of them by default) unless
+    the next one ties.
 
     Per block, one inverse FFT takes every harmonic's correlation at the
     block's first ``step`` lags, each rotated back by its start phase and
-    weighted by 1/h.  The calling thread scans the even blocks and one pool
-    thread the odd ones, each in its own ``(len(HARMONICS), size)`` buffer,
-    and the kept lags merge in a fixed order, so the shortlist does not
-    depend on the CPUs the process may use.  No thread outlives the call.
+    weighted by 1/h.  The blocks run one after another on the calling
+    thread, in one ``(len(HARMONICS), size)`` buffer, and their kept lags
+    merge in block order.
     """
-    # imported here: importing it with the module would add several ms to
-    # every command's start-up, and only the one-bit scan uses it
-    from concurrent.futures import ThreadPoolExecutor
-
-    _, _, size, step, lags, spectra, rotations = matched
+    size, step, lags, spectra, rotations = matched[2:7]
+    if blocks is None:
+        blocks = range(len(spectra))
     rf_spec = np.conj(np.fft.fft(rfz, size))
     # the square wave is 4/pi times the sum of sin(2 pi h theta) / h
     weights = np.array(HARMONICS, dtype=float)[:, None]
-
-    def scan_blocks(first: int) -> list:
-        buf = np.empty((len(HARMONICS), size), dtype=complex)
-        score = np.empty(step)
-        kept = []
-        for b in range(first, len(spectra), 2):
-            start = b * step
-            width = min(step, lags - start)
-            corr = buf[:, :width]
-            np.multiply(spectra[b], rf_spec, out=buf)
-            np.fft.ifft(buf, axis=-1, out=buf)
-            np.multiply(rotations[:, start:start + width], corr, out=corr)
-            np.divide(corr.imag, weights, out=corr.imag)
-            block = np.sum(corr.imag, axis=0, out=score[:width])
-            best = _best(block)
-            kept.append((best + start, block[best]))
-        return kept
-
-    with ThreadPoolExecutor(1) as pool:
-        odd = pool.submit(scan_blocks, 1)
-        kept = scan_blocks(0) + odd.result()  # re-raises the pool's error
-    shortlist, scores = map(np.concatenate, zip(*kept))
+    buf = np.empty((len(HARMONICS), size), dtype=complex)
+    score = np.empty(step)
+    shortlist, scores = [], []
+    for b in blocks:
+        start = b * step
+        width = min(step, lags - start)
+        corr = buf[:, :width]
+        np.multiply(spectra[b], rf_spec, out=buf)
+        np.fft.ifft(buf, axis=-1, out=buf)
+        np.multiply(rotations[:, start:start + width], corr, out=corr)
+        np.divide(corr.imag, weights, out=corr.imag)
+        block = np.sum(corr.imag, axis=0, out=score[:width])
+        best = _best(block)
+        shortlist.append(best + start)
+        scores.append(block[best])
+    shortlist, scores = np.concatenate(shortlist), np.concatenate(scores)
     best = _best(scores)
     best = best[np.argsort(shortlist[best])]
     return shortlist[best], scores[best]
@@ -357,10 +413,24 @@ def _locate_backscatter(matched: tuple, captured, fsk: FskConfig,
     the truncated series never decides the answer.  Ties go to the smallest
     lag.  The reference side depends only on the config and comes in
     ``matched`` from ``_backscatter_reference``.
+
+    ``_scan`` runs only the blocks ``_coarse_blocks`` picks: those holding a
+    lag within ``COARSE_REACH`` of a coarse locate of the carrier's advance
+    per ``COARSE_BIN`` samples, or all of them when that locate leads the
+    rest by less than ``COARSE_MARGIN``.  Everything runs on the calling
+    thread; a warm noiseless exchange peaks at about 2.2 MB at the defaults.
+    Over 52 draws per setting (the 12-point ``range`` grid and 40 uniform
+    distances in 0.5-6 m) the answer equalled the all-blocks scan's bit for
+    bit at ``noise_std`` 0-0.1, with a gain-0.5 echo at 0.5 ms
+    (interpolated) or 2 ms, a gain-0.2 echo at 0.5 ms with noise 0.05, and
+    with 4, 0.5, 0.2, 0.1 and 0.05 ms captures; those of 0.1 ms or less
+    always scanned every block.  At ``noise_std`` 0.2, 0.3 and 0.5, 1, 2
+    and 1 of 52 answers differed: both were 0.4-1.1 m wrong, with peaks of
+    0.17-0.25, and the pruned one was the closer each time.
     """
     rf = fsk_modulate(one_bit_quantize(captured, threshold), fsk).samples
     rfz = rf - rf.mean()
-    shortlist, _ = _scan(matched, rfz)
+    shortlist, _ = _scan(matched, rfz, _coarse_blocks(matched, rf))
     exact = _exact_scores(matched[1], shortlist, rfz, float(np.dot(rfz, rfz)))
     best = int(np.argmax(exact))  # the first maximum: the smallest lag
     return int(shortlist[best]) / fsk.sample_rate, float(exact[best])

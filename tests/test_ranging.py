@@ -767,7 +767,7 @@ def test_cached_reference_side_is_read_only():
     key = (spec, 6001, 1000, FSK, 0.0)
     matched = ranging._backscatter_reference(*key)
     assert ranging._backscatter_reference(*key) is matched
-    reference, cycles, size, step, lags, spectra, rotations = matched
+    reference, cycles, size, step, lags, spectra, rotations, coarse = matched
     # a 1000-sample window: blocks of fft_size(3000) samples, 2001 lags apart
     assert (len(reference), size, step, lags) == (6001, 3000, 2001, 5002)
     assert spectra.shape == (3, len(ranging.HARMONICS), 3000)
@@ -776,10 +776,16 @@ def test_cached_reference_side_is_read_only():
     bits = one_bit_quantize(reference).bits
     assert np.array_equal(cycles, np.where(bits, FSK.freq1 / FSK.sample_rate,
                                            FSK.freq0 / FSK.sample_rate))
-    for array in (reference.samples, cycles, spectra, rotations):
+    # the coarse reference is that table's advance over each 50-sample bin,
+    # and its window stats span the 17 bins a 1000-sample capture keeps
+    advance, (s1, ex2) = coarse
+    phase = np.concatenate(([0.0], np.cumsum(cycles)))
+    assert np.array_equal(advance, np.diff(phase[::ranging.COARSE_BIN]))
+    assert (advance.size, s1.size, ex2.size) == (120, 104, 104)
+    for array in (reference.samples, cycles, spectra, rotations, advance,
+                  s1, ex2):
         with pytest.raises(ValueError):
             array[0] = 0
-
 
 
 def test_cached_audio_reference_is_read_only():
@@ -795,13 +801,15 @@ def test_cached_audio_reference_is_read_only():
             array[0] = 0
 
 
-def _ideal_bits(sets):
-    """``_golden_bits("ideal-audio", sets)``, computed in this process."""
+def _bits_here(mode, sets, distances=GOLDEN_DISTANCES):
+    """``_golden_bits(mode, sets)`` at ``distances``, computed in this
+    process."""
     cfg = load_config(sets=sets)
     bits = []
-    for i, d in enumerate(GOLDEN_DISTANCES):
+    for i, d in enumerate(distances):
         r = simulate_ranging(cfg.chirp, cfg.channel_at(d, seed_offset=i),
-                             cfg.timeline, mode="ideal-audio")
+                             cfg.timeline, mode=mode, fsk=cfg.fsk,
+                             threshold=cfg.comparator_threshold)
         bits.append((r.lag.hex(), r.peak.hex()))
     return bits
 
@@ -818,7 +826,7 @@ def test_alternating_chirps_match_a_fresh_process():
     ranging._audio_reference.cache_clear()
     for sets, expected in [([], defaults), (OTHER_CHIRP, other),
                            ([], defaults)]:
-        assert _ideal_bits(sets) == expected
+        assert _bits_here("ideal-audio", sets) == expected
 
 
 @pytest.mark.parametrize("setting", list(IDEAL_GOLDEN))
@@ -866,7 +874,7 @@ def _scan_case(timeline):
     (BLOCKED_TIMELINE, 4), (ONE_BLOCK_TIMELINE, 1)], ids=["four", "one"])
 def test_blocked_scan_matches_a_full_length_scan(timeline, n_blocks):
     matched, rfz = _scan_case(timeline)
-    reference, _, _, step, lags, spectra, _ = matched
+    reference, _, _, step, lags, spectra = matched[:6]
     assert len(spectra) == n_blocks == -(-lags // step)
     shortlist, scores = ranging._scan(matched, rfz)
 
@@ -895,20 +903,13 @@ def test_blocked_scan_matches_a_full_length_scan(timeline, n_blocks):
                          ids=["four", "one"])
 def test_scan_matches_a_serial_block_loop_bit_for_bit(timeline):
     matched, rfz = _scan_case(timeline)
-    # switch threads often, so a thread writing outside its own blocks shows
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        shortlist, scores = ranging._scan(matched, rfz)
-    finally:
-        sys.setswitchinterval(interval)
+    shortlist, scores = ranging._scan(matched, rfz)
 
-    # the same blocks, one after the other on this thread, each keeping its
-    # best lags, merged even blocks first
-    _, _, size, step, lags, spectra, rotations = matched
+    # every block, each keeping its best lags, merged in block order
+    size, step, lags, spectra, rotations = matched[2:7]
     take = ranging.RESCORED_LAGS
     rf_spec = np.conj(np.fft.fft(rfz, size))
-    kept = {}
+    all_lags, all_scores = [], []
     for b, start in enumerate(range(0, lags, step)):
         kept_lags = slice(start, min(start + step, lags))
         corr = np.fft.ifft(spectra[b] * rf_spec)[:, :kept_lags.stop - start]
@@ -917,10 +918,10 @@ def test_scan_matches_a_serial_block_loop_bit_for_bit(timeline):
         for h, row in zip(ranging.HARMONICS[1:], rotated[1:]):
             block = block + row / h
         best = np.argpartition(block, -take)[-take:]
-        kept[b] = (best + start, block[best])
-    order = [*range(0, len(kept), 2), *range(1, len(kept), 2)]
-    all_lags = np.concatenate([kept[b][0] for b in order])
-    all_scores = np.concatenate([kept[b][1] for b in order])
+        all_lags.append(best + start)
+        all_scores.append(block[best])
+    all_lags = np.concatenate(all_lags)
+    all_scores = np.concatenate(all_scores)
     best = np.argpartition(all_scores, -take)[-take:]
     best = best[np.argsort(all_lags[best])]
     assert np.array_equal(shortlist, all_lags[best])
@@ -928,18 +929,83 @@ def test_scan_matches_a_serial_block_loop_bit_for_bit(timeline):
                           all_scores[best].view(np.uint64))
 
 
-def test_scan_runs_at_most_two_threads(monkeypatch):
-    # each thread holds its own block buffer, so this bounds the memory
-    threads = set()
+def _all_blocks(matched, rf):
+    """A ``_coarse_blocks`` that leaves ``_scan`` its every-block default."""
+    return None
+
+
+def test_scan_runs_on_the_calling_thread_over_at_most_3_of_10_blocks(
+        monkeypatch):
+    # one inverse FFT per block transformed
+    threads = []
     ifft = np.fft.ifft
 
     def recording_ifft(*args, **kwargs):
-        threads.add(threading.get_ident())
+        threads.append(threading.get_ident())
         return ifft(*args, **kwargs)
 
     monkeypatch.setattr(np.fft, "ifft", recording_ifft)
-    _default_exchange(load_config())
-    assert 1 <= len(threads) <= 2
+    cfg = load_config()
+    _default_exchange(cfg)
+    assert set(threads) == {threading.get_ident()}
+    assert 1 <= len(threads) <= 3
+    threads.clear()
+    monkeypatch.setattr(ranging, "_coarse_blocks", _all_blocks)
+    _default_exchange(cfg)
+    assert len(threads) == 10
+
+
+# settings under which the coarse locate picks the scan's blocks; the answers
+# must keep every bit that the all-blocks scan gives them
+PRUNED_SETTINGS = {
+    "noiseless": [],
+    "noise-0.02": ["channel.noise_std=0.02"],
+    "noise-0.05": ["channel.noise_std=0.05"],
+    "noise-0.1": ["channel.noise_std=0.1"],
+    "echo-interpolated": ["channel.multipath=[[0.0005, 0.5]]",
+                          "channel.interpolate_delays=true"],
+    "capture-0.5ms": ["timeline.capture_duration_s=0.0005",
+                      "channel.noise_std=0.05"],
+    "capture-4ms": ["timeline.capture_duration_s=0.004",
+                    "channel.noise_std=0.05"],
+}
+PRUNED_DISTANCES = dict(zip(PRUNED_SETTINGS, np.random.default_rng(
+    12345).uniform(0.5, 6.0, (len(PRUNED_SETTINGS), 3)).tolist()))
+
+
+def _record_blocks(monkeypatch):
+    """Record, per exchange, the blocks the scan runs and the blocks
+    there are."""
+    coarse_blocks = ranging._coarse_blocks
+    scanned = []
+
+    def recording(matched, rf):
+        blocks = coarse_blocks(matched, rf)
+        scanned.append((len(blocks), len(matched[5])))
+        return blocks
+
+    monkeypatch.setattr(ranging, "_coarse_blocks", recording)
+    return scanned
+
+
+@pytest.mark.parametrize("setting", list(PRUNED_SETTINGS))
+def test_pruned_scan_matches_the_all_blocks_scan(monkeypatch, setting):
+    sets, distances = PRUNED_SETTINGS[setting], PRUNED_DISTANCES[setting]
+    scanned = _record_blocks(monkeypatch)
+    bits = _bits_here("one-bit-backscatter", sets, distances)
+    assert all(ran < total for ran, total in scanned)
+    monkeypatch.setattr(ranging, "_coarse_blocks", _all_blocks)
+    assert bits == _bits_here("one-bit-backscatter", sets, distances)
+
+
+# 0.1 ms keeps 17 coarse bins, too few to single out the lag, and 10 us none
+@pytest.mark.parametrize("capture", [1e-4, 1e-5])
+def test_short_capture_scans_every_block(monkeypatch, capture):
+    scanned = _record_blocks(monkeypatch)
+    _bits_here("one-bit-backscatter",
+               [f"timeline.capture_duration_s={capture}"])
+    assert len(scanned) == len(GOLDEN_DISTANCES)
+    assert all(ran == total for ran, total in scanned)
 
 
 def test_no_scan_thread_outlives_the_call():
