@@ -63,7 +63,6 @@ from .wpt import (
     beam_sweep_precharge,
     charge_time,
     friis_received_power,
-    harvest_power,
     update_rate,
 )
 

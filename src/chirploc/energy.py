@@ -179,8 +179,9 @@ class HarvesterSpec:
 
 def buffer_energy(capacitance: float, v_high: float, v_low: float) -> float:
     """Energy released by a capacitor discharging from v_high to v_low."""
-    if not capacitance > 0:
-        raise ParameterError(f"capacitance must be positive, got {capacitance}")
+    if not 0 < capacitance < math.inf:
+        raise ParameterError(
+            f"capacitance must be positive and finite, got {capacitance}")
     if v_low < 0 or v_high < v_low:
         raise ParameterError(
             f"need v_high >= v_low >= 0, got v_high={v_high}, v_low={v_low}"

@@ -258,10 +258,10 @@ def _audio_reference(chirp: ChirpSpec, reach: int, m: int) -> tuple:
     """The first ``reach`` samples of ``chirp``, their ``_unit_scale`` copy
     and its ``_window_stats`` for ``m``-sample windows: the ideal-audio
     locator's beacon side, built once per config.  Only the last config is
-    kept, about 126 KB at the defaults; every array is read-only."""
+    kept, about 95 KB at the defaults; every array is read-only."""
     reference = gen_chirp(chirp, reach)
     x = _readonly(_unit_scale(reference.samples))
-    return reference, x, tuple(map(_readonly, _window_stats(x, m)))
+    return reference, x, _readonly(_window_stats(x, m))
 
 
 @lru_cache(maxsize=1)
@@ -301,7 +301,7 @@ def _backscatter_reference(chirp: ChirpSpec, reach: int, m: int,
     bins = _coarse_bins(m)
     if bins > 0:
         advance = _readonly(np.diff(phase[::COARSE_BIN]))
-        coarse = (advance, tuple(map(_readonly, _window_stats(advance, bins))))
+        coarse = (advance, _readonly(_window_stats(advance, bins)))
     return (reference, _readonly(_cycles_per_sample(ref_bits.bits, fsk)),
             size, step, lags, _readonly(spectra),
             _readonly(np.conj(tones[:, :lags])), coarse)
@@ -336,7 +336,9 @@ def _coarse_blocks(matched: tuple, rf: np.ndarray) -> range:
     # the bin at each end is dropped
     edges = np.arange(_coarse_bins(rf.size) + 3) * COARSE_BIN
     phase = np.interp(edges, flips, np.arange(flips.size) / 2)
-    scores = _sliding_pearson(*coarse, np.diff(phase)[1:-1])
+    advance = np.diff(phase)[1:-1]
+    advance -= advance.mean()
+    scores = _sliding_pearson(*coarse, advance, float(np.dot(advance, advance)))
     best = int(np.argmax(scores))
     reach = COARSE_REACH // COARSE_BIN
     far = np.concatenate((scores[:max(best - reach, 0)],
@@ -350,12 +352,11 @@ def _coarse_blocks(matched: tuple, rf: np.ndarray) -> range:
 
 
 def _scan(matched: tuple, rfz: np.ndarray,
-          blocks: range | None = None) -> tuple[np.ndarray, np.ndarray]:
+          blocks: range) -> tuple[np.ndarray, np.ndarray]:
     """The ``RESCORED_LAGS`` lags, in order, at which the square-wave
     replica truncated to ``HARMONICS`` best matches the centred reflection
     ``rfz``, and their scores: the best of each overlap-save block's best,
-    so the best of all lags in ``blocks`` (all of them by default) unless
-    the next one ties.
+    so the best of all lags in ``blocks`` unless the next one ties.
 
     Per block, one inverse FFT takes every harmonic's correlation at the
     block's first ``step`` lags, each rotated back by its start phase and
@@ -364,8 +365,6 @@ def _scan(matched: tuple, rfz: np.ndarray,
     merge in block order.
     """
     size, step, lags, spectra, rotations = matched[2:7]
-    if blocks is None:
-        blocks = range(len(spectra))
     rf_spec = np.conj(np.fft.fft(rfz, size))
     # the square wave is 4/pi times the sum of sin(2 pi h theta) / h
     weights = np.array(HARMONICS, dtype=float)[:, None]
@@ -418,15 +417,8 @@ def _locate_backscatter(matched: tuple, captured, fsk: FskConfig,
     lag within ``COARSE_REACH`` of a coarse locate of the carrier's advance
     per ``COARSE_BIN`` samples, or all of them when that locate leads the
     rest by less than ``COARSE_MARGIN``.  Everything runs on the calling
-    thread; a warm noiseless exchange peaks at about 2.2 MB at the defaults.
-    Over 52 draws per setting (the 12-point ``range`` grid and 40 uniform
-    distances in 0.5-6 m) the answer equalled the all-blocks scan's bit for
-    bit at ``noise_std`` 0-0.1, with a gain-0.5 echo at 0.5 ms
-    (interpolated) or 2 ms, a gain-0.2 echo at 0.5 ms with noise 0.05, and
-    with 4, 0.5, 0.2, 0.1 and 0.05 ms captures; those of 0.1 ms or less
-    always scanned every block.  At ``noise_std`` 0.2, 0.3 and 0.5, 1, 2
-    and 1 of 52 answers differed: both were 0.4-1.1 m wrong, with peaks of
-    0.17-0.25, and the pruned one was the closer each time.
+    thread.  CHANGES.md records how the pruned answers compare with the
+    all-blocks scan's.
     """
     rf = fsk_modulate(one_bit_quantize(captured, threshold), fsk).samples
     rfz = rf - rf.mean()

@@ -268,47 +268,45 @@ def _unit_scale(x: np.ndarray) -> np.ndarray:
     return np.ldexp(x, 1 - math.frexp(np.abs(x).max())[1])
 
 
-def _window_stats(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The reference half of ``_sliding_pearson``: the sum and centred energy
-    of every ``m``-sample window of ``x``, from sliding window sums."""
+def _window_stats(x: np.ndarray, m: int) -> np.ndarray:
+    """The reference half of ``_sliding_pearson``: the centred energy of
+    every ``m``-sample window of ``x``, from sliding window sums."""
     csum = np.concatenate(([0.0], np.cumsum(x)))
     csum2 = np.concatenate(([0.0], np.cumsum(x * x)))
     s1 = csum[m:] - csum[:-m]
     s2 = csum2[m:] - csum2[:-m]
-    return s1, np.maximum(s2 - s1 * s1 / m, 0.0)
+    return np.maximum(s2 - s1 * s1 / m, 0.0)
 
 
-def _sliding_pearson(x: np.ndarray, stats: tuple, y: np.ndarray) -> np.ndarray:
-    """Pearson correlation of y against every full window of x, whose
-    ``_window_stats`` are ``stats``.  Large problems take the dot products
-    through the FFT; ``pearson_window`` gives exact values at specific lags."""
-    n, m = x.size, y.size
-    s1, ex2 = stats
-    y_mean = y.mean()
-    ey2 = float(np.dot(y - y_mean, y - y_mean))
+def _sliding_pearson(x: np.ndarray, ex2: np.ndarray, yz: np.ndarray,
+                     ey2: float) -> np.ndarray:
+    """Pearson correlation of the centred ``yz`` (energy ``ey2``) against
+    every full window of x, whose centred energies are ``ex2``.  A centred
+    segment's dot with a window equals its dot with the centred window, so
+    no window sum is needed.  Large problems take the dot products through
+    the FFT; ``pearson_window`` gives exact values at specific lags."""
+    if ey2 == 0.0:
+        return np.where(ex2 == 0.0, 1.0, 0.0)
+    n, m = x.size, yz.size
     if n * m <= 5e7:
-        dot = np.correlate(x, y, mode="valid")
+        dot = np.correlate(x, yz, mode="valid")
     else:
         # a circular convolution of size >= n leaves every full window
         # unwrapped
         size = fft_size(n)
-        spec = np.fft.rfft(x, size) * np.fft.rfft(y[::-1], size)
+        spec = np.fft.rfft(x, size) * np.fft.rfft(yz[::-1], size)
         dot = np.fft.irfft(spec, size)[m - 1:n]
-    num = dot - s1 * y_mean
     denom = np.sqrt(ex2 * ey2)
     with np.errstate(divide="ignore", invalid="ignore"):
-        corr = np.where(denom > 0.0, num / denom, 0.0)
-    if ey2 == 0.0:
-        return np.where(ex2 == 0.0, 1.0, 0.0)
-    corr[ex2 == 0.0] = 0.0
-    return corr
+        return np.where(denom > 0.0, dot / denom, 0.0)
 
 
-def _locate(x: np.ndarray, stats: tuple, y: np.ndarray, rate: float) -> tuple:
-    """``xcorr_offset`` of unit-scaled x and y, given x's window stats."""
+def _locate(x: np.ndarray, ex2: np.ndarray, y: np.ndarray,
+            rate: float) -> tuple:
+    """``xcorr_offset`` of unit-scaled x and y, given x's window energies."""
     yz = y - y.mean()
     ey2 = float(np.dot(yz, yz))
-    corr = _sliding_pearson(x, stats, y)
+    corr = _sliding_pearson(x, ex2, yz, ey2)
 
     # The scan locates the neighbourhood of the maximum; every lag within scan
     # tolerance of it is then recomputed directly so the result does not depend
@@ -344,7 +342,7 @@ def xcorr_offset(reference: Waveform, segment: Waveform) -> tuple[float, float]:
     Each signal is first scaled by its own power of two, bringing its
     largest |sample| into [1, 2).  That is exact and keeps every energy
     finite, so a score keeps its bits unless an intermediate goes subnormal.
-    The reference's scaled samples and window stats never depend on the
+    The reference's scaled samples and window energies never depend on the
     segment, so ``simulate_ranging`` builds them once per config.
     """
     x, rate_x = reference.samples, reference.sample_rate

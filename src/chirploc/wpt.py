@@ -23,7 +23,6 @@ __all__ = [
     "ArraySpec",
     "ChargeScenario",
     "friis_received_power",
-    "harvest_power",
     "charge_time",
     "array_factor",
     "beam_sweep_precharge",
@@ -143,11 +142,6 @@ def _path_loss_db(link: RfLink):
     return 20.0 * np.array([math.log10(r) for r in ratio.tolist()])
 
 
-def harvest_power(link: RfLink, harvester: HarvesterSpec) -> float:
-    """DC power in watts harvested at the tag for this link."""
-    return harvester_output(friis_received_power(link), harvester)
-
-
 def charge_time(capacitance: float, scenario: ChargeScenario, p_harvest):
     """Radiated seconds to move the capacitor through the scenario's swing.
 
@@ -230,8 +224,8 @@ def beam_sweep_precharge(
 
     Returns infinity when no steering direction can power the tag at all.
     """
-    if not dwell > 0:
-        raise ParameterError(f"dwell must be positive, got {dwell}")
+    if not 0 < dwell < math.inf:
+        raise ParameterError(f"dwell must be positive and finite, got {dwell}")
     if not 0 < step <= 180:
         raise ParameterError(f"sweep step must be in (0, 180], got {step}")
     angles = inclusive_grid(-90.0, 90.0, step)

@@ -25,7 +25,7 @@ from chirploc import (
     default_components,
     friis_received_power,
     fsk_modulate,
-    harvest_power,
+    harvester_output,
     min_capacitance,
     next_standard_capacitance,
     simulate_ranging,
@@ -60,7 +60,8 @@ def criterion(number: int, label: str):
 
 
 def charge_times(distance: float) -> tuple[float, float]:
-    p = harvest_power(RfLink(distance=distance), HARVESTER)
+    p = harvester_output(friis_received_power(RfLink(distance=distance)),
+                         HARVESTER)
     return (
         charge_time(CAP, ChargeScenario.initial(HARVESTER), p),
         charge_time(CAP, ChargeScenario.update(HARVESTER), p),
@@ -94,8 +95,8 @@ def test_criterion_2_buffer_sizing():
 def test_criterion_3_link_budget():
     p_rx = friis_received_power(RfLink(distance=4.5))
     flat = HarvesterSpec(efficiency_curve=((-19.5, 0.3), (10.0, 0.3)))
-    p1 = harvest_power(RfLink(distance=1.5), flat)
-    p3 = harvest_power(RfLink(distance=3.0), flat)
+    p1 = harvester_output(friis_received_power(RfLink(distance=1.5)), flat)
+    p3 = harvester_output(friis_received_power(RfLink(distance=3.0)), flat)
     slope = (math.log10(p3) - math.log10(p1)) / math.log10(2.0)
     with criterion(3, f"received power {p_rx:.3f} dBm at 4.5 m "
                       f"(-15.1 +/- 0.1), log-log slope {slope:.4f} (-2 +/- 0.01)"):

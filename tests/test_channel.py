@@ -174,6 +174,17 @@ def test_window_interpolated_extraction():
     np.testing.assert_allclose(got.samples, [2.5, 3.5, 4.5, 5.5], atol=1e-12)
 
 
+@pytest.mark.parametrize("kwargs, match", [
+    (dict(duration=0.0), "duration must be positive"),
+    (dict(duration=-1e-3), "duration must be positive"),
+    (dict(sample_rate=0.0), "sample_rate must be positive"),
+], ids=["zero-duration", "negative-duration", "zero-rate"])
+def test_window_rejects_bad_parameters(kwargs, match):
+    with pytest.raises(ParameterError, match=match):
+        ReceiveWindow(**dict(dict(start_time=0.0, duration=0.001,
+                                  sample_rate=192e3), **kwargs))
+
+
 def test_window_rejects_rate_mismatch():
     win = ReceiveWindow(0.0, 0.001, 96e3)
     with pytest.raises(ParameterError):

@@ -618,6 +618,13 @@ def test_result_table_cells_print_as_str():
                               "1e-05,1e+16,inf,3,4,True\n")
 
 
+def test_result_table_rejects_a_row_of_the_wrong_width():
+    table = ResultTable(["a", "b"])
+    with pytest.raises(ValueError, match="row has 3 cells, table has 2"):
+        table.add(1, 2, 3)
+    assert table.rows == []
+
+
 @pytest.mark.parametrize("command,assignment", [
     ("size-buffer", "chirp.f_start_hz=abc"),
     ("size-buffer", 'chirp.f_start_hz={"x": 1}'),

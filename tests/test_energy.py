@@ -166,6 +166,10 @@ def test_buffer_energy_validation():
         buffer_energy(1e-5, 2.2, 2.3)
     with pytest.raises(ParameterError):
         buffer_energy(1e-5, 2.3, -0.1)
+    for capacitance in (math.inf, math.nan):
+        with pytest.raises(ParameterError,
+                           match="capacitance must be positive and finite"):
+            buffer_energy(capacitance, 2.3, 0.0)
 
 
 @pytest.mark.parametrize("c_min,expected", [

@@ -179,6 +179,20 @@ def test_capture_without_a_sample_is_rejected(mode, rate):
                          fsk=FSK)
 
 
+@pytest.mark.parametrize("capture", [0.0, -1e-3])
+def test_timeline_rejects_a_non_positive_capture(capture):
+    with pytest.raises(ParameterError,
+                       match="capture_duration must be positive"):
+        RangingTimeline(chirp_start=0.0, wakeup_time=0.020,
+                        capture_duration=capture)
+
+
+def test_one_bit_mode_requires_an_fsk_config():
+    with pytest.raises(ParameterError, match="requires an FskConfig"):
+        simulate_ranging(CHIRP, AcousticChannel(distance=2.0), TIMELINE,
+                         mode="one-bit-backscatter")
+
+
 def test_unknown_mode_rejected():
     with pytest.raises(ParameterError):
         _run(2.0, mode="dsss")
@@ -353,6 +367,10 @@ def test_trilaterate_convergence_error_carries_state():
 def test_beacon_set_validation():
     with pytest.raises(GeometryError):
         BeaconSet(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]))
+    with pytest.raises(ParameterError, match="2-D array"):
+        BeaconSet(np.zeros(4))
+    with pytest.raises(ParameterError, match="dimensions are 2 and 3, got 4"):
+        BeaconSet(np.eye(5, 4))
 
 
 # ---------------------------------------------------- pipeline to position
@@ -777,13 +795,13 @@ def test_cached_reference_side_is_read_only():
     assert np.array_equal(cycles, np.where(bits, FSK.freq1 / FSK.sample_rate,
                                            FSK.freq0 / FSK.sample_rate))
     # the coarse reference is that table's advance over each 50-sample bin,
-    # and its window stats span the 17 bins a 1000-sample capture keeps
-    advance, (s1, ex2) = coarse
+    # and its window energies span the 17 bins a 1000-sample capture keeps
+    advance, ex2 = coarse
     phase = np.concatenate(([0.0], np.cumsum(cycles)))
     assert np.array_equal(advance, np.diff(phase[::ranging.COARSE_BIN]))
-    assert (advance.size, s1.size, ex2.size) == (120, 104, 104)
+    assert (advance.size, ex2.size) == (120, 104)
     for array in (reference.samples, cycles, spectra, rotations, advance,
-                  s1, ex2):
+                  ex2):
         with pytest.raises(ValueError):
             array[0] = 0
 
@@ -793,10 +811,9 @@ def test_cached_audio_reference_is_read_only():
     key = (CHIRP, 3840 + 192 + 1, 192)
     memo = ranging._audio_reference(*key)
     assert ranging._audio_reference(*key) is memo
-    reference, x, (s1, ex2) = memo
-    assert (len(reference), x.size, s1.size, ex2.size) == (4033, 4033,
-                                                           3842, 3842)
-    for array in (reference.samples, x, s1, ex2):
+    reference, x, ex2 = memo
+    assert (len(reference), x.size, ex2.size) == (4033, 4033, 3842)
+    for array in (reference.samples, x, ex2):
         with pytest.raises(ValueError):
             array[0] = 0
 
@@ -876,7 +893,7 @@ def test_blocked_scan_matches_a_full_length_scan(timeline, n_blocks):
     matched, rfz = _scan_case(timeline)
     reference, _, _, step, lags, spectra = matched[:6]
     assert len(spectra) == n_blocks == -(-lags // step)
-    shortlist, scores = ranging._scan(matched, rfz)
+    shortlist, scores = ranging._scan(matched, rfz, range(n_blocks))
 
     # the oracle: one circular correlation over the whole reference
     ref_bits = one_bit_quantize(reference)
@@ -903,7 +920,7 @@ def test_blocked_scan_matches_a_full_length_scan(timeline, n_blocks):
                          ids=["four", "one"])
 def test_scan_matches_a_serial_block_loop_bit_for_bit(timeline):
     matched, rfz = _scan_case(timeline)
-    shortlist, scores = ranging._scan(matched, rfz)
+    shortlist, scores = ranging._scan(matched, rfz, range(len(matched[5])))
 
     # every block, each keeping its best lags, merged in block order
     size, step, lags, spectra, rotations = matched[2:7]
@@ -930,8 +947,8 @@ def test_scan_matches_a_serial_block_loop_bit_for_bit(timeline):
 
 
 def _all_blocks(matched, rf):
-    """A ``_coarse_blocks`` that leaves ``_scan`` its every-block default."""
-    return None
+    """A ``_coarse_blocks`` that hands ``_scan`` every block."""
+    return range(len(matched[5]))
 
 
 def test_scan_runs_on_the_calling_thread_over_at_most_3_of_10_blocks(

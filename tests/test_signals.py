@@ -173,6 +173,24 @@ def test_bitstream_rejects_non_binary():
         BitStream(np.array([0, 1, 2], dtype=np.uint8), 1e3)
 
 
+@pytest.mark.parametrize("make, match", [
+    (lambda: Waveform(np.zeros((2, 3)), 1e3), "samples must be one-dim"),
+    (lambda: Waveform([0.0, math.nan], 1e3), "samples must be finite"),
+    (lambda: Waveform([0.0, math.inf], 1e3), "samples must be finite"),
+    (lambda: Waveform(np.zeros(4), 0.0), "sample_rate must be positive"),
+    (lambda: BitStream(np.zeros((2, 2)), 1e3), "bits must be one-dim"),
+    (lambda: BitStream([0, 1], -1.0), "bit_rate must be positive"),
+    (lambda: one_bit_quantize(Waveform(np.zeros(4), 1e3), math.nan),
+     "threshold must be finite"),
+    (lambda: one_bit_quantize(Waveform(np.zeros(4), 1e3), -math.inf),
+     "threshold must be finite"),
+], ids=["waveform-2d", "waveform-nan", "waveform-inf", "waveform-rate",
+        "bits-2d", "bits-rate", "threshold-nan", "threshold-inf"])
+def test_signal_inputs_are_checked(make, match):
+    with pytest.raises(ParameterError, match=match):
+        make()
+
+
 @pytest.mark.parametrize("bits", [[0, 2], [0, 1, 7]])
 def test_bitstream_rejects_values_above_one(bits):
     with pytest.raises(ParameterError, match="only 0 and 1"):
@@ -384,11 +402,15 @@ def test_xcorr_tie_breaks_to_smallest_lag():
     assert peak == 1.0
 
 
+def _centred(y: np.ndarray) -> tuple[np.ndarray, float]:
+    """y minus its mean, and the energy of that."""
+    yz = y - y.mean()
+    return yz, float(yz @ yz)
+
+
 def _exact_pearson(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """``pearson_window`` at every lag of y within x."""
-    yz = y - y.mean()
-    ey2 = float(yz @ yz)
-    return np.array([pearson_window(x, k, yz, ey2)
+    return np.array([pearson_window(x, k, *_centred(y))
                      for k in range(x.size - y.size + 1)])
 
 
@@ -399,7 +421,7 @@ def test_xcorr_tie_cap_keeps_the_smallest_lag():
     tone = gen_chirp(ChirpSpec(64e3, 64e3, 0.086, 192e3))
     seg = Waveform(tone.samples[16415:16511], tone.sample_rate)
     corr = _sliding_pearson(tone.samples, _window_stats(tone.samples, 96),
-                            seg.samples)
+                            *_centred(seg.samples))
     assert (corr >= corr.max() - 1e-6).sum() > 4096
     exact = _exact_pearson(tone.samples, seg.samples)
     lag, peak = xcorr_offset(tone, seg)
@@ -407,13 +429,16 @@ def test_xcorr_tie_cap_keeps_the_smallest_lag():
     assert peak == exact.max()
 
 
-def test_sliding_pearson_fft_branch_matches_exact_windows():
+# 9600 * 6000 products take the FFT branch, 9600 * 2000 np.correlate
+@pytest.mark.parametrize("m, fft", [(6000, True), (2000, False)],
+                         ids=["fft", "correlate"])
+def test_sliding_pearson_matches_exact_windows(m, fft):
     rng = np.random.default_rng(11)
     x = gen_chirp(DEFAULT_CHIRP).samples + 0.1 * rng.normal(size=9600)
-    k, m = 1234, 6000
+    k = 1234
     y = x[k:k + m] + 0.1 * rng.normal(size=m)
-    assert x.size * m > 5e7  # large enough for the FFT branch
-    corr = _sliding_pearson(x, _window_stats(x, m), y)
+    assert (x.size * m > 5e7) == fft
+    corr = _sliding_pearson(x, _window_stats(x, m), *_centred(y))
     exact = _exact_pearson(x, y)
     assert int(np.argmax(corr)) == int(np.argmax(exact)) == k
     assert np.allclose(corr, exact, rtol=0.0, atol=1e-9)
@@ -433,6 +458,18 @@ def test_xcorr_rejects_segment_longer_than_reference():
     long = Waveform(np.arange(10.0), 1e3)
     with pytest.raises(ParameterError):
         xcorr_offset(short, long)
+
+
+def test_xcorr_rejects_an_empty_segment():
+    with pytest.raises(ParameterError, match="segment is empty"):
+        xcorr_offset(Waveform(np.arange(10.0), 1e3), Waveform([], 1e3))
+
+
+def test_xcorr_constant_segment_scores_zero_in_a_varying_reference():
+    # a zero-variance segment against varying windows scores 0.0 at every
+    # lag, so the tie goes to lag 0
+    assert xcorr_offset(Waveform(np.arange(10.0), 1e3),
+                        Waveform(np.ones(4), 1e3)) == (0.0, 0.0)
 
 
 def test_xcorr_rejects_mismatched_rates():

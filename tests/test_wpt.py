@@ -21,7 +21,6 @@ from chirploc import (
     charge_time,
     default_efficiency_curve,
     friis_received_power,
-    harvest_power,
     harvester_output,
     update_rate,
 )
@@ -77,30 +76,34 @@ def test_link_validation(kwargs):
         RfLink(**kwargs)
 
 
-# ------------------------------------------------------------ harvest_power
+# ---------------------------------------------------------- harvested power
 
 def test_harvested_power_at_reference_distance():
-    p = harvest_power(RfLink(distance=4.5), HARVESTER)
+    p = harvester_output(friis_received_power(RfLink(distance=4.5)),
+                         HARVESTER)
     assert p >= 6e-6
     assert p == pytest.approx(6.495e-6, rel=1e-3)
 
 
 def test_harvest_dies_past_sensitivity():
-    assert harvest_power(RfLink(distance=7.4), HARVESTER) > 0.0
-    assert harvest_power(RfLink(distance=7.5), HARVESTER) == 0.0
+    near = friis_received_power(RfLink(distance=7.4))
+    far = friis_received_power(RfLink(distance=7.5))
+    assert harvester_output(near, HARVESTER) > 0.0
+    assert harvester_output(far, HARVESTER) == 0.0
 
 
 @given(st.floats(0.3, 12.0), st.floats(0.3, 12.0))
 def test_harvest_monotone_in_distance(d1, d2):
     lo, hi = sorted((d1, d2))
-    assert harvest_power(RfLink(distance=lo), HARVESTER) >= harvest_power(
-        RfLink(distance=hi), HARVESTER)
+    assert harvester_output(friis_received_power(RfLink(distance=lo)),
+                            HARVESTER) >= harvester_output(
+        friis_received_power(RfLink(distance=hi)), HARVESTER)
 
 
 def test_constant_efficiency_gives_inverse_square_harvest():
     flat = HarvesterSpec(efficiency_curve=((-19.5, 0.3), (10.0, 0.3)))
-    p1 = harvest_power(RfLink(distance=1.5), flat)
-    p3 = harvest_power(RfLink(distance=3.0), flat)
+    p1 = harvester_output(friis_received_power(RfLink(distance=1.5)), flat)
+    p3 = harvester_output(friis_received_power(RfLink(distance=3.0)), flat)
     slope = (math.log10(p3) - math.log10(p1)) / (math.log10(3.0)
                                                  - math.log10(1.5))
     assert slope == pytest.approx(-2.0, abs=0.01)
@@ -130,8 +133,8 @@ def test_charge_time_knee_steepens_with_distance():
     # down the efficiency curve toward the sensitivity floor
     initial = ChargeScenario.initial(HARVESTER)
     times = [
-        charge_time(6.8e-5, initial, harvest_power(RfLink(distance=d),
-                                                   HARVESTER))
+        charge_time(6.8e-5, initial, harvester_output(
+            friis_received_power(RfLink(distance=d)), HARVESTER))
         for d in (4.0, 5.0, 6.0, 7.0)
     ]
     ratios = [b / a for a, b in zip(times, times[1:])]
@@ -254,7 +257,8 @@ def test_single_element_sweep_equals_steady_charge():
     t = beam_sweep_precharge(ArraySpec(1), 0.0, **SWEEP_KW)
     steady = charge_time(
         6.8e-5, ChargeScenario.initial(HARVESTER),
-        harvest_power(RfLink(distance=4.5), HARVESTER)) / 0.10
+        harvester_output(friis_received_power(RfLink(distance=4.5)),
+                         HARVESTER)) / 0.10
     assert t == pytest.approx(steady, rel=1e-12)
     assert t == pytest.approx(276.9217320390081, rel=1e-12)
     assert beam_sweep_precharge(ArraySpec(1), -90.0, **SWEEP_KW) == pytest.approx(
@@ -403,6 +407,13 @@ def test_sweep_validation():
         beam_sweep_precharge(ArraySpec(4), 0.0, dwell=1.0, step=0.0,
                              link=RfLink(distance=4.5), harvester=HARVESTER,
                              capacitance=6.8e-5)
+    # each is refused before any arithmetic, by its own name
+    for arg in ("dwell", "capacitance"):
+        for value in (math.inf, math.nan):
+            with pytest.raises(ParameterError,
+                               match=f"^{arg} must be positive and finite"):
+                beam_sweep_precharge(ArraySpec(4), 0.0,
+                                     **dict(SWEEP_KW, **{arg: value}))
 
 
 # --------------------------------------------------------------- update_rate
