@@ -12,24 +12,26 @@ measured behaviour of the reference deployment:
     inverse-square path loss).
 
 Anchor efficiencies are placed at the input powers corresponding to
-half-metre distances on the default 27 dBm EIRP / 2.15 dBi link, with the
-drop between anchors specified in dB of output power so the knee shape is
-explicit.  Run from the repository root:
+half-metre distances on the default configuration's link, with the drop
+between anchors specified in dB of output power so the knee shape is
+explicit.  The anchors are checked through the package's own link, harvester
+and charge model, on the default capacitance and distance grid.  Run from
+the repository root:
 
-    python scripts/calibrate_efficiency_curve.py
+    PYTHONPATH=src python scripts/calibrate_efficiency_curve.py
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-C_LIGHT = 299792458.0
-FREQ = 869.5e6
-EIRP_DBM = 27.0
-G_R_DBI = 2.15
+from chirploc import (ChargeScenario, charge_time, friis_received_power,
+                      harvester_output)
+from chirploc.config import load_config
 
 # eta at the 4.5 m and 6 m anchors; chosen so t_initial(4.5) ~ 27.7 s (inside
 # the 30 s budget with margin) and t_update(6) ~ 10.0 s.
@@ -48,12 +50,7 @@ TOP_POINTS = ((0.0, 0.40), (5.0, 0.42), (10.0, 0.44))
 BOTTOM_POINT = (-19.5, 0.0126)
 
 
-def input_power_dbm(distance_m: float) -> float:
-    lam = C_LIGHT / FREQ
-    return EIRP_DBM + G_R_DBI - 20.0 * math.log10(4.0 * math.pi * distance_m / lam)
-
-
-def build_curve() -> list[tuple[float, float]]:
+def build_curve(link) -> list[tuple[float, float]]:
     level = {4.5: 10.0 * math.log10(ETA_4P5)}
     total = level[4.5] - 10.0 * math.log10(ETA_6P0)
     level[5.0] = level[4.5] - DROP_OUT_5
@@ -66,7 +63,8 @@ def build_curve() -> list[tuple[float, float]]:
         level[round(d - 0.5, 1)] = level[d] + rise
         d = round(d - 0.5, 1)
 
-    points = [(input_power_dbm(dist), 10.0 ** (lvl / 10.0))
+    points = [(friis_received_power(replace(link, distance=dist)),
+               10.0 ** (lvl / 10.0))
               for dist, lvl in level.items()]
     points.append(BOTTOM_POINT)
     points.extend(TOP_POINTS)
@@ -74,35 +72,36 @@ def build_curve() -> list[tuple[float, float]]:
     return points
 
 
-def verify(points: list[tuple[float, float]]) -> None:
+def verify(points: list[tuple[float, float]], cfg) -> None:
     ps = np.array([p for p, _ in points])
     es = np.array([e for _, e in points])
     assert (np.diff(ps) > 0).all() and (np.diff(es) > 0).all()
+    harvester = replace(cfg.harvester, efficiency_curve=points)
 
-    def harvest(d: float) -> float:
-        p = input_power_dbm(d)
-        if p < -19.5 or p > 10.0:
-            return 0.0
-        return float(np.interp(p, ps, es)) * 10.0 ** ((p - 30.0) / 10.0)
+    def charge(kind: str, d):
+        """Radiated charge time of the ``kind`` scenario at distance ``d``."""
+        p_in = friis_received_power(replace(cfg.link, distance=d))
+        return charge_time(cfg.capacitance,
+                           getattr(ChargeScenario, kind)(harvester),
+                           harvester_output(p_in, harvester))
 
-    e_initial = 0.5 * 68e-6 * 2.3**2
-    e_update = 0.5 * 68e-6 * (2.3**2 - 2.2**2)
-    grid = np.arange(1.0, 7.01, 0.5)
-    t_initial = np.array([e_initial / harvest(d) for d in grid])
+    t_initial = charge("initial", cfg.grid())
     ratios = t_initial[1:] / t_initial[:-1]
+    t_initial_4p5, t_update_6 = charge("initial", 4.5), charge("update", 6.0)
 
-    print(f"t_initial(4.5 m) = {e_initial / harvest(4.5):7.3f} s  (budget 30 s)")
-    print(f"t_update(6.0 m)  = {e_update / harvest(6.0):7.3f} s  (target ~10 s)")
+    print(f"t_initial(4.5 m) = {t_initial_4p5:7.3f} s  (budget 30 s)")
+    print(f"t_update(6.0 m)  = {t_update_6:7.3f} s  (target ~10 s)")
     knee = ratios[7:]
     print(f"ratio t(d)/t(d-0.5) beyond 4.5 m: {np.round(knee, 4)}")
-    assert e_initial / harvest(4.5) <= 30.0
-    assert abs(e_update / harvest(6.0) - 10.0) <= 2.0
+    assert t_initial_4p5 <= 30.0
+    assert abs(t_update_6 - 10.0) <= 2.0
     assert (np.diff(knee) > 0).all(), "knee must steepen beyond 4.5 m"
 
 
 def main() -> None:
-    points = build_curve()
-    verify(points)
+    cfg = load_config()
+    points = build_curve(cfg.link)
+    verify(points, cfg)
     out = Path(__file__).resolve().parents[1] / "src" / "chirploc" / "data" \
         / "harvester_efficiency.csv"
     lines = [

@@ -43,15 +43,6 @@ EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
 
-def _metadata(cfg: ScenarioConfig, command: str) -> dict[str, str]:
-    return {
-        "tool": f"chirploc {__version__}",
-        "command": command,
-        "config_hash": cfg.config_hash,
-        "seed": str(cfg.rng_seed),
-    }
-
-
 def _scenarios(cfg: ScenarioConfig) -> list[ChargeScenario]:
     kinds = ("initial", "update") if cfg.scenario == "both" else (cfg.scenario,)
     return [getattr(ChargeScenario, kind)(cfg.harvester) for kind in kinds]
@@ -67,9 +58,7 @@ def _grid_powers(cfg: ScenarioConfig):
 
 def cmd_charge_curve(cfg: ScenarioConfig) -> ResultTable:
     table = ResultTable(
-        ["distance_m", "t_initial_s", "t_update_s", "p_harvest_w", "p_in_dbm"],
-        metadata=_metadata(cfg, "charge-curve"),
-    )
+        ["distance_m", "t_initial_s", "t_update_s", "p_harvest_w", "p_in_dbm"])
     d, p_in, p = _grid_powers(cfg)
     initial = charge_time(cfg.capacitance, ChargeScenario.initial(cfg.harvester), p)
     update = charge_time(cfg.capacitance, ChargeScenario.update(cfg.harvester), p)
@@ -79,9 +68,7 @@ def cmd_charge_curve(cfg: ScenarioConfig) -> ResultTable:
 
 def cmd_range(cfg: ScenarioConfig) -> ResultTable:
     table = ResultTable(
-        ["true_distance_m", "est_distance_m", "abs_error_m", "corr_peak", "mode"],
-        metadata=_metadata(cfg, "range"),
-    )
+        ["true_distance_m", "est_distance_m", "abs_error_m", "corr_peak", "mode"])
     for i, d in enumerate(cfg.range_grid()):
         channel = cfg.channel_at(float(d), seed_offset=i)
         for mode in MODES:
@@ -110,24 +97,19 @@ def cmd_size_buffer(cfg: ScenarioConfig) -> ResultTable:
     standard = next_standard_capacitance(c_min)
     e_cap = buffer_energy(standard, cfg.harvester.v_chrdy, cfg.harvester.v_ovdis)
     e_full = buffer_energy(standard, cfg.harvester.v_chrdy, 0.0)
-    table = ResultTable(
-        ["quantity", "value", "unit"],
-        metadata=_metadata(cfg, "size-buffer"),
-    )
-    table.add("e_tag", e_tag, "J")
-    table.add("c_min", c_min, "F")
-    table.add("standard_capacitance", standard, "F")
-    table.add("e_cap_swing", e_cap, "J")
-    table.add("e_cap_full", e_full, "J")
-    return table
+    return ResultTable(["quantity", "value", "unit"], [
+        ("e_tag", e_tag, "J"),
+        ("c_min", c_min, "F"),
+        ("standard_capacitance", standard, "F"),
+        ("e_cap_swing", e_cap, "J"),
+        ("e_cap_full", e_full, "J"),
+    ])
 
 
 def cmd_update_rate(cfg: ScenarioConfig) -> ResultTable:
     table = ResultTable(
         ["distance_m", "scenario", "charge_time_s", "duty_cycle",
-         "updates_per_hour", "seconds_per_update"],
-        metadata=_metadata(cfg, "update-rate"),
-    )
+         "updates_per_hour", "seconds_per_update"])
     duty, overhead = cfg.link.duty_cycle, cfg.measurement_overhead
     d, _, p = _grid_powers(cfg)
     per_scenario = []
@@ -141,10 +123,7 @@ def cmd_update_rate(cfg: ScenarioConfig) -> ResultTable:
 
 
 def cmd_sweep(cfg: ScenarioConfig) -> ResultTable:
-    table = ResultTable(
-        ["tag_angle_deg", "n_elements", "precharge_time_s"],
-        metadata=_metadata(cfg, "sweep"),
-    )
+    table = ResultTable(["tag_angle_deg", "n_elements", "precharge_time_s"])
     for angle in cfg.sweep_angles:
         for array in cfg.sweep_arrays:
             t = beam_sweep_precharge(
@@ -193,6 +172,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config, args.set, args.seed)
         table = COMMANDS[args.command](cfg)
+        # every table carries its provenance as leading '#' lines
+        table.metadata = {
+            "tool": f"chirploc {__version__}",
+            "command": args.command,
+            "config_hash": cfg.config_hash,
+            "seed": str(cfg.rng_seed),
+        }
         table.write(args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

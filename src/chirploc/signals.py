@@ -239,11 +239,19 @@ def fft_size(n: int) -> int:
 def pearson_window(x: np.ndarray, k: int, yz: np.ndarray, ey2: float) -> float:
     """Exact Pearson correlation of x[k:k+m] against a pre-centred segment.
 
-    ``yz`` is the segment minus its mean and ``ey2`` its energy, so a caller
-    scoring one segment at many lags centres it once.
+    ``yz`` is the segment as ``_centre`` gives it and ``ey2`` its energy, so
+    a caller scoring one segment at many lags centres it once.
     """
-    xw = x[k:k + yz.size]
-    return _centred_pearson(xw - xw.mean(), yz, ey2)
+    return _centred_pearson(_centre(x[k:k + yz.size]), yz, ey2)
+
+
+def _centre(v: np.ndarray) -> np.ndarray:
+    """``v`` minus its mean, and exact zeros for a constant ``v``, whose
+    rounded mean can leave a residue that reads as energy.  Comparing the
+    ends first keeps the full test off almost every window."""
+    if v[0] == v[-1] and (v == v[0]).all():
+        return np.zeros(v.size)
+    return v - v.mean()
 
 
 def _centred_pearson(xz: np.ndarray, yz: np.ndarray, ey2: float) -> float:
@@ -304,7 +312,7 @@ def _sliding_pearson(x: np.ndarray, ex2: np.ndarray, yz: np.ndarray,
 def _locate(x: np.ndarray, ex2: np.ndarray, y: np.ndarray,
             rate: float) -> tuple:
     """``xcorr_offset`` of unit-scaled x and y, given x's window energies."""
-    yz = y - y.mean()
+    yz = _centre(y)
     ey2 = float(np.dot(yz, yz))
     corr = _sliding_pearson(x, ex2, yz, ey2)
 

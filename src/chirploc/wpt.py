@@ -18,7 +18,6 @@ from .errors import ParameterError
 
 __all__ = [
     "C_LIGHT",
-    "GRID_POINTS_MAX",
     "RfLink",
     "ArraySpec",
     "ChargeScenario",

@@ -472,6 +472,19 @@ def test_xcorr_constant_segment_scores_zero_in_a_varying_reference():
                         Waveform(np.ones(4), 1e3)) == (0.0, 0.0)
 
 
+@pytest.mark.parametrize("value", [0.7, -3.0, 0.1, 1.3])
+def test_xcorr_finds_a_constant_segment_on_its_plateau(value):
+    # the rounded mean of 0.7 or 1.3 leaves a ~2e-16 residue on a centred
+    # constant; the segment must still centre to zero energy, so that it
+    # meets its zero-variance plateau at 1.0
+    for seed in range(40):
+        x = np.random.default_rng(seed).standard_normal(134)
+        x[44:55] = value
+        lag, peak = xcorr_offset(Waveform(x, 1.0),
+                                 Waveform(np.full(11, value), 1.0))
+        assert (lag, peak) == (44.0, 1.0), f"seed {seed}"
+
+
 def test_xcorr_rejects_mismatched_rates():
     with pytest.raises(ParameterError):
         xcorr_offset(Waveform(np.arange(10.0), 1e3),
