@@ -6,13 +6,8 @@ of whatever part of the chirp is passing by.  Locating that slice inside the
 reference chirp gives the emission offset, and the gap between elapsed time
 and emission offset is the time of flight.
 
-With a one-bit tag the beacon never hears the audio: the comparator bits
-reach it only as the FSK square wave the tag reflects.  The beacon locates
-the slice with one matched filter that scores that reflection against the
-reflection each window of the reference chirp would produce, at every lag
-at once (``_scan``), then rescores the best lags exactly (``_exact_scores``).
-A coarse locate of the reflection's carrier advance per 50 RF samples first
-picks the few overlap-save blocks of lags the scan needs (``_coarse_blocks``).
+With a one-bit tag the beacon hears only the FSK reflection of the tag's
+comparator bits; ``signals`` holds the matched filter that locates it.
 """
 
 from __future__ import annotations
@@ -20,7 +15,6 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -29,17 +23,12 @@ from .errors import ConvergenceError, GeometryError, ParameterError, RangeWindow
 from .signals import (
     ChirpSpec,
     FskConfig,
-    _carrier_phase,
-    _cycles_per_sample,
-    _readonly,
-    _centred_pearson,
+    _audio_reference,
+    _backscatter_reference,
     _locate,
-    _sliding_pearson,
+    _locate_backscatter,
     _unit_scale,
-    _window_stats,
-    fft_size,
     fsk_modulate,
-    gen_chirp,
     one_bit_quantize,
 )
 
@@ -53,20 +42,6 @@ __all__ = [
 ]
 
 MODES = ("ideal-audio", "one-bit-backscatter")
-# Odd harmonics of the square-wave replica that the backscatter scan keeps;
-# the 1st and 3rd carry 90% of its energy.
-HARMONICS = (1, 3)
-# Lags the scan hands to exact rescoring: a margin for the dropped harmonics.
-RESCORED_LAGS = 32
-# RF samples to a bin of the coarse locate that picks the scan's blocks:
-# 5 us at the default 10 MHz.
-COARSE_BIN = 50
-# Lags on each side of the coarse lag whose blocks the scan runs: 2 ms of
-# lag, 0.69 m of range, at 10 MHz.
-COARSE_REACH = 20_000
-# The least lead of the coarse peak over every coarse score farther than
-# COARSE_REACH from it at which the scan skips blocks.
-COARSE_MARGIN = 0.05
 
 
 @dataclass(frozen=True)
@@ -241,7 +216,8 @@ def simulate_ranging(
     if mode == "ideal-audio":
         lag, peak = _locate(*matched[1:], _unit_scale(captured.samples), rate)
     else:
-        lag, peak = _locate_backscatter(matched, captured, fsk, threshold)
+        rf = fsk_modulate(one_bit_quantize(captured, threshold), fsk)
+        lag, peak = _locate_backscatter(matched, rf.samples, rate)
 
     # the sample heard at wake-up left the beacon ``lag`` seconds into the
     # chirp, so the flight time is wakeup_delay - lag
@@ -251,202 +227,6 @@ def simulate_ranging(
     return RangingResult(
         lag=lag, peak=peak, tof=distance / c, distance=distance, clamped=clamped
     )
-
-
-@lru_cache(maxsize=1)
-def _audio_reference(chirp: ChirpSpec, reach: int, m: int) -> tuple:
-    """The first ``reach`` samples of ``chirp``, their ``_unit_scale`` copy
-    and its ``_window_stats`` for ``m``-sample windows: the ideal-audio
-    locator's beacon side, built once per config.  Only the last config is
-    kept, about 95 KB at the defaults; every array is read-only."""
-    reference = gen_chirp(chirp, reach)
-    x = _readonly(_unit_scale(reference.samples))
-    return reference, x, _readonly(_window_stats(x, m))
-
-
-@lru_cache(maxsize=1)
-def _backscatter_reference(chirp: ChirpSpec, reach: int, m: int,
-                           fsk: FskConfig, threshold: float) -> tuple:
-    """The beacon side of the one-bit matched filter, built once per config.
-
-    Returns ``(reference, cycles, size, step, lags, spectra, rotations,
-    coarse)``: the first ``reach`` samples of ``chirp`` (at the RF rate),
-    the carrier cycles ``fsk_modulate`` advances per comparator bit of each,
-    the block FFT size, the lags between block starts, the number of lags an
-    ``m``-sample window can take, and, with ``P`` the modulator's carrier
-    phase and h the i-th of ``HARMONICS``, ``spectra[b, i]``, the
-    ``size``-point FFT of ``exp(2 pi i h P)`` from sample ``b * step`` on,
-    and ``rotations[i] = conj(exp(2 pi i h P[:lags]))``.  ``coarse`` is
-    ``_coarse_blocks``' reference: the advance of ``P`` over each
-    ``COARSE_BIN`` samples from sample 0 on, and its ``_window_stats`` for
-    the ``_coarse_bins(m)`` bins a capture keeps, or None when it keeps
-    none.  Blocks follow the capture length alone: ``size = min(fft_size(3
-    m), fft_size(n))``.  Only the last config is kept, about 19 MB at the
-    defaults; every array is read-only, so no exchange can change what a
-    later one reads.
-    """
-    reference = gen_chirp(chirp, reach)
-    ref_bits = one_bit_quantize(reference, threshold)
-    n = len(ref_bits)
-    lags = n - m + 1
-    phase = _carrier_phase(ref_bits, fsk)
-    # a circular correlation over a block of size samples leaves the first
-    # step lags unwrapped: their windows end inside the block
-    size = min(fft_size(3 * m), fft_size(n))
-    step = size - m + 1
-    tones = np.array([np.exp(2j * np.pi * h * phase) for h in HARMONICS])
-    spectra = np.array([np.fft.fft(tones[:, start:start + size], size)
-                        for start in range(0, lags, step)])
-    coarse = None
-    bins = _coarse_bins(m)
-    if bins > 0:
-        advance = _readonly(np.diff(phase[::COARSE_BIN]))
-        coarse = (advance, _readonly(_window_stats(advance, bins)))
-    return (reference, _readonly(_cycles_per_sample(ref_bits.bits, fsk)),
-            size, step, lags, _readonly(spectra),
-            _readonly(np.conj(tones[:, :lags])), coarse)
-
-
-def _coarse_bins(m: int) -> int:
-    """``COARSE_BIN``-sample bins an ``m``-sample capture's coarse stream
-    keeps: its edges are samples 0, ``COARSE_BIN``, ... up to ``m - 1``, and
-    the bin at each end is dropped."""
-    return (m - 1) // COARSE_BIN - 2
-
-
-def _coarse_blocks(matched: tuple, rf: np.ndarray) -> range:
-    """The overlap-save blocks ``_scan`` needs for the reflection ``rf``.
-
-    Each sign change of ``rf`` is half a carrier cycle on from the last, so
-    the carrier phase, interpolated at the bin edges of ``_coarse_bins``,
-    advances over each bin by what the comparator's duty cycle there gives.
-    ``_sliding_pearson`` locates that stream in the same advance of the
-    reference.  Returns the blocks holding a lag within ``COARSE_REACH`` of
-    the coarse lag, or every block when the coarse peak leads every score
-    farther than ``COARSE_REACH`` from it by less than ``COARSE_MARGIN``,
-    the capture keeps no bin, or ``rf`` changes sign less than twice.
-    """
-    step, lags, spectra = matched[3:6]
-    coarse = matched[7]
-    every = range(len(spectra))
-    flips = np.flatnonzero(rf[1:] != rf[:-1])
-    if coarse is None or flips.size < 2:
-        return every
-    # np.interp clamps before the first sign change and past the last, so
-    # the bin at each end is dropped
-    edges = np.arange(_coarse_bins(rf.size) + 3) * COARSE_BIN
-    phase = np.interp(edges, flips, np.arange(flips.size) / 2)
-    advance = np.diff(phase)[1:-1]
-    advance -= advance.mean()
-    scores = _sliding_pearson(*coarse, advance, float(np.dot(advance, advance)))
-    best = int(np.argmax(scores))
-    reach = COARSE_REACH // COARSE_BIN
-    far = np.concatenate((scores[:max(best - reach, 0)],
-                          scores[best + reach + 1:]))
-    if far.size and scores[best] - far.max() < COARSE_MARGIN:
-        return every
-    # the stream's first kept bin starts COARSE_BIN samples into the capture
-    lag = (best - 1) * COARSE_BIN
-    return range(max(lag - COARSE_REACH, 0) // step,
-                 min(lag + COARSE_REACH, lags - 1) // step + 1)
-
-
-def _scan(matched: tuple, rfz: np.ndarray,
-          blocks: range) -> tuple[np.ndarray, np.ndarray]:
-    """The ``RESCORED_LAGS`` lags, in order, at which the square-wave
-    replica truncated to ``HARMONICS`` best matches the centred reflection
-    ``rfz``, and their scores: the best of each overlap-save block's best,
-    so the best of all lags in ``blocks`` unless the next one ties.
-
-    Per block, one inverse FFT takes every harmonic's correlation at the
-    block's first ``step`` lags, each rotated back by its start phase and
-    weighted by 1/h.  The blocks run one after another on the calling
-    thread, in one ``(len(HARMONICS), size)`` buffer, and their kept lags
-    merge in block order.
-    """
-    size, step, lags, spectra, rotations = matched[2:7]
-    rf_spec = np.conj(np.fft.fft(rfz, size))
-    # the square wave is 4/pi times the sum of sin(2 pi h theta) / h
-    weights = np.array(HARMONICS, dtype=float)[:, None]
-    buf = np.empty((len(HARMONICS), size), dtype=complex)
-    score = np.empty(step)
-    shortlist, scores = [], []
-    for b in blocks:
-        start = b * step
-        width = min(step, lags - start)
-        corr = buf[:, :width]
-        np.multiply(spectra[b], rf_spec, out=buf)
-        np.fft.ifft(buf, axis=-1, out=buf)
-        np.multiply(rotations[:, start:start + width], corr, out=corr)
-        np.divide(corr.imag, weights, out=corr.imag)
-        block = np.sum(corr.imag, axis=0, out=score[:width])
-        best = _best(block)
-        shortlist.append(best + start)
-        scores.append(block[best])
-    shortlist, scores = np.concatenate(shortlist), np.concatenate(scores)
-    best = _best(scores)
-    best = best[np.argsort(shortlist[best])]
-    return shortlist[best], scores[best]
-
-
-def _best(scores: np.ndarray) -> np.ndarray:
-    """Indices of the ``RESCORED_LAGS`` highest scores, or of all of them."""
-    take = min(RESCORED_LAGS, len(scores))
-    return np.argpartition(scores, -take)[-take:]
-
-
-def _locate_backscatter(matched: tuple, captured, fsk: FskConfig,
-                        threshold: float) -> tuple[float, float]:
-    """Find the capture offset from the FSK reflection of the comparator.
-
-    One matched filter scores the received RF stream against the exact
-    reflection replica at every lag.  With ``P`` the carrier phase that
-    ``fsk_modulate`` accumulates over the reference comparator bits, the
-    replica at lag k is the square wave ``sign(frac(P[k+j] - P[k]) < 1/2)``.
-    Its odd harmonics h turn the correlation at all lags into FFT
-    cross-correlations of the stream against ``exp(2 pi i h P)``, each lag
-    then rotated back by its own start phase ``P[k]``.  Every replica is a
-    balanced carrier, so its energy is the window length to within a few
-    samples and the scan ranks lags by correlation alone.  ``_scan``'s
-    shortlist is rescored exactly, so a perfect match scores exactly 1.0 and
-    the truncated series never decides the answer.  Ties go to the smallest
-    lag.  The reference side depends only on the config and comes in
-    ``matched`` from ``_backscatter_reference``.
-
-    ``_scan`` runs only the blocks ``_coarse_blocks`` picks: those holding a
-    lag within ``COARSE_REACH`` of a coarse locate of the carrier's advance
-    per ``COARSE_BIN`` samples, or all of them when that locate leads the
-    rest by less than ``COARSE_MARGIN``.  Everything runs on the calling
-    thread.  CHANGES.md records how the pruned answers compare with the
-    all-blocks scan's.
-    """
-    rf = fsk_modulate(one_bit_quantize(captured, threshold), fsk).samples
-    rfz = rf - rf.mean()
-    shortlist, _ = _scan(matched, rfz, _coarse_blocks(matched, rf))
-    exact = _exact_scores(matched[1], shortlist, rfz, float(np.dot(rfz, rfz)))
-    best = int(np.argmax(exact))  # the first maximum: the smallest lag
-    return int(shortlist[best]) / fsk.sample_rate, float(exact[best])
-
-
-def _exact_scores(cycles: np.ndarray, lags: np.ndarray, yz: np.ndarray,
-                  ey2: float) -> np.ndarray:
-    """``pearson_window``, bit for bit, of ``fsk_modulate`` of the
-    ``m = yz.size`` reference bits from each lag k on against the centred
-    ``yz`` of energy ``ey2``.  Bits are samples at the RF rate, so the
-    replica's phase is the running sum of ``cycles[k:k + m - 1]`` from 0,
-    and it is +1 where ``floor(2 phase)`` is even (``_square_wave``); its
-    samples sum to an integer, so its count of low ones gives its mean
-    exactly."""
-    m = yz.size
-    phase = np.zeros(m)
-    scores = np.empty(len(lags))
-    for i, k in enumerate(lags):
-        np.cumsum(cycles[k:k + m - 1], out=phase[1:])
-        low = (2.0 * phase).astype(np.int64) & 1
-        mean = (m - 2 * int(np.count_nonzero(low))) / m
-        xz = np.array((1.0 - mean, -1.0 - mean))[low]
-        scores[i] = _centred_pearson(xz, yz, ey2)
-    return scores
 
 
 def trilaterate(

@@ -11,6 +11,8 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from chirploc import (AcousticChannel, ArraySpec, FskConfig, HarvesterSpec,
+                      RangingTimeline, RfLink, StartupPlan)
 from chirploc.cli import COMMANDS, main
 from chirploc.config import DEFAULT_CONFIG, load_config, resolve_config
 from chirploc.errors import ConfigError
@@ -49,6 +51,20 @@ def test_defaults_resolve_without_a_file():
     assert cfg.rng_seed == 0
     assert len(cfg.grid()) == 13
     assert len(cfg.range_grid()) == 12
+
+
+def test_default_config_builds_the_library_defaults():
+    # DEFAULT_CONFIG writes each dataclass default a second time; the two
+    # must agree, or the CLI and the library model different tags
+    cfg = load_config()
+    assert cfg.fsk == FskConfig()
+    assert cfg.timeline == RangingTimeline()
+    assert cfg.harvester == HarvesterSpec()
+    assert cfg.link == RfLink(1.0)
+    assert cfg.channel == AcousticChannel(distance=1.0)
+    assert cfg.startup == StartupPlan()
+    assert cfg.sweep_arrays == tuple(ArraySpec(a.n_elements)
+                                     for a in cfg.sweep_arrays)
 
 
 def test_config_file_merges_over_defaults(tmp_path):

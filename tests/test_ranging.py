@@ -13,6 +13,7 @@ import pytest
 
 import chirploc
 import chirploc.ranging as ranging
+import chirploc.signals as signals
 from chirploc import (
     AcousticChannel,
     BeaconSet,
@@ -354,6 +355,14 @@ def test_trilaterate_rejects_coplanar_3d():
         trilaterate(flat, np.ones(4))
 
 
+def test_trilaterate_rejects_a_rank_deficient_jacobian():
+    # so far off that every beacon lies in the same direction: in double
+    # precision the Jacobian's rows are all equal
+    with pytest.raises(GeometryError, match="Jacobian rank 1 < 2"):
+        trilaterate(SQUARE_2D, np.full(4, 3.0),
+                    initial_guess=np.array([1e16, 1e16]))
+
+
 def test_trilaterate_convergence_error_carries_state():
     truth = np.array([2.5, 2.5])
     dists = np.linalg.norm(SQUARE_2D - truth, axis=1)
@@ -511,7 +520,7 @@ def test_replicas_match_the_modulator_at_every_lag(short_modulated, m):
     rate = FSK.sample_rate
     reach = round(SHORT_TIMELINE.wakeup_delay * rate) + m + 1
     spec = dataclasses.replace(SHORT_CHIRP, sample_rate=rate)
-    matched = ranging._backscatter_reference(spec, reach, m, FSK, 0.0)
+    matched = signals._backscatter_reference(spec, reach, m, FSK, 0.0)
     cycles, lags = matched[1], matched[4]
     replicas = (short_modulated if short_modulated.shape[1] == m
                 else _modulated_replicas(m))
@@ -527,7 +536,7 @@ def test_replicas_match_the_modulator_at_every_lag(short_modulated, m):
     ey2 = float(np.dot(rfz, rfz))
     expected = np.array([pearson_window(replica, 0, rfz, ey2)
                          for replica in replicas])
-    got = ranging._exact_scores(cycles, np.arange(lags), rfz, ey2)
+    got = signals._exact_scores(cycles, np.arange(lags), rfz, ey2)
     assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
     if m > 2:
         assert len(np.unique(expected)) > 1000
@@ -764,7 +773,7 @@ def test_interleaved_configs_match_a_cold_reference():
     def cold(config):
         results = []
         for channel in MEMO_CHANNELS:
-            ranging._backscatter_reference.cache_clear()
+            signals._backscatter_reference.cache_clear()
             results.append(_one_bit(config, channel))
         return results
 
@@ -773,7 +782,7 @@ def test_interleaved_configs_match_a_cold_reference():
     expected = [cold(config) for config in variants]
     # each variant changes the answer, so a stale entry would show
     assert all(results != base for results in expected)
-    ranging._backscatter_reference.cache_clear()
+    signals._backscatter_reference.cache_clear()
     assert [_one_bit(SHORT_ONE_BIT, ch) for ch in MEMO_CHANNELS] == base
     for config, results in zip(variants, expected):
         assert [_one_bit(config, ch) for ch in MEMO_CHANNELS] == results
@@ -783,13 +792,13 @@ def test_interleaved_configs_match_a_cold_reference():
 def test_cached_reference_side_is_read_only():
     spec = dataclasses.replace(SHORT_CHIRP, sample_rate=FSK.sample_rate)
     key = (spec, 6001, 1000, FSK, 0.0)
-    matched = ranging._backscatter_reference(*key)
-    assert ranging._backscatter_reference(*key) is matched
+    matched = signals._backscatter_reference(*key)
+    assert signals._backscatter_reference(*key) is matched
     reference, cycles, size, step, lags, spectra, rotations, coarse = matched
     # a 1000-sample window: blocks of fft_size(3000) samples, 2001 lags apart
     assert (len(reference), size, step, lags) == (6001, 3000, 2001, 5002)
-    assert spectra.shape == (3, len(ranging.HARMONICS), 3000)
-    assert rotations.shape == (len(ranging.HARMONICS), 5002)
+    assert spectra.shape == (3, len(signals.HARMONICS), 3000)
+    assert rotations.shape == (len(signals.HARMONICS), 5002)
     # the cycle table is the modulator's, one entry per reference sample
     bits = one_bit_quantize(reference).bits
     assert np.array_equal(cycles, np.where(bits, FSK.freq1 / FSK.sample_rate,
@@ -798,7 +807,7 @@ def test_cached_reference_side_is_read_only():
     # and its window energies span the 17 bins a 1000-sample capture keeps
     advance, ex2 = coarse
     phase = np.concatenate(([0.0], np.cumsum(cycles)))
-    assert np.array_equal(advance, np.diff(phase[::ranging.COARSE_BIN]))
+    assert np.array_equal(advance, np.diff(phase[::signals.COARSE_BIN]))
     assert (advance.size, ex2.size) == (120, 104)
     for array in (reference.samples, cycles, spectra, rotations, advance,
                   ex2):
@@ -809,8 +818,8 @@ def test_cached_reference_side_is_read_only():
 def test_cached_audio_reference_is_read_only():
     # the default 1 ms capture: 192 samples, a 3840-sample wake-up delay
     key = (CHIRP, 3840 + 192 + 1, 192)
-    memo = ranging._audio_reference(*key)
-    assert ranging._audio_reference(*key) is memo
+    memo = signals._audio_reference(*key)
+    assert signals._audio_reference(*key) is memo
     reference, x, ex2 = memo
     assert (len(reference), x.size, ex2.size) == (4033, 4033, 3842)
     for array in (reference.samples, x, ex2):
@@ -840,7 +849,7 @@ def test_alternating_chirps_match_a_fresh_process():
     defaults = IDEAL_GOLDEN["defaults"][1]  # from a fresh child
     other = _golden_bits("ideal-audio", OTHER_CHIRP)
     assert other != defaults  # so a stale memo would show
-    ranging._audio_reference.cache_clear()
+    signals._audio_reference.cache_clear()
     for sets, expected in [([], defaults), (OTHER_CHIRP, other),
                            ([], defaults)]:
         assert _bits_here("ideal-audio", sets) == expected
@@ -880,7 +889,7 @@ def _scan_case(timeline):
                       rate).n_samples
     reach = round(timeline.wakeup_delay * rate) + m + 1
     spec = dataclasses.replace(SHORT_CHIRP, sample_rate=rate)
-    matched = ranging._backscatter_reference(spec, reach, m, FSK, 0.0)
+    matched = signals._backscatter_reference(spec, reach, m, FSK, 0.0)
     ch = AcousticChannel(distance=0.15, noise_std=0.05, rng_seed=7)
     window = _captured_full_chirp(SHORT_CHIRP, ch, timeline, rate)
     rf = fsk_modulate(one_bit_quantize(window), FSK).samples
@@ -893,20 +902,20 @@ def test_blocked_scan_matches_a_full_length_scan(timeline, n_blocks):
     matched, rfz = _scan_case(timeline)
     reference, _, _, step, lags, spectra = matched[:6]
     assert len(spectra) == n_blocks == -(-lags // step)
-    shortlist, scores = ranging._scan(matched, rfz, range(n_blocks))
+    shortlist, scores = signals._scan(matched, rfz, range(n_blocks))
 
     # the oracle: one circular correlation over the whole reference
     ref_bits = one_bit_quantize(reference)
-    full = ranging.fft_size(len(ref_bits))
+    full = signals.fft_size(len(ref_bits))
     phase = _carrier_phase(ref_bits, FSK)
     rf_spec = np.conj(np.fft.fft(rfz, full))
     expected = np.zeros(lags)
-    for h in ranging.HARMONICS:
+    for h in signals.HARMONICS:
         tone = np.exp(2j * np.pi * h * phase)
         corr = np.fft.ifft(np.fft.fft(tone, full) * rf_spec)[:lags]
         expected += (np.conj(tone[:lags]) * corr).imag / h
 
-    take = ranging.RESCORED_LAGS
+    take = signals.RESCORED_LAGS
     ranked = np.sort(expected)
     assert ranked[-take] > ranked[-take - 1]  # so the best set is unique
     assert np.array_equal(shortlist,
@@ -920,19 +929,19 @@ def test_blocked_scan_matches_a_full_length_scan(timeline, n_blocks):
                          ids=["four", "one"])
 def test_scan_matches_a_serial_block_loop_bit_for_bit(timeline):
     matched, rfz = _scan_case(timeline)
-    shortlist, scores = ranging._scan(matched, rfz, range(len(matched[5])))
+    shortlist, scores = signals._scan(matched, rfz, range(len(matched[5])))
 
     # every block, each keeping its best lags, merged in block order
     size, step, lags, spectra, rotations = matched[2:7]
-    take = ranging.RESCORED_LAGS
+    take = signals.RESCORED_LAGS
     rf_spec = np.conj(np.fft.fft(rfz, size))
     all_lags, all_scores = [], []
     for b, start in enumerate(range(0, lags, step)):
         kept_lags = slice(start, min(start + step, lags))
         corr = np.fft.ifft(spectra[b] * rf_spec)[:, :kept_lags.stop - start]
         rotated = (rotations[:, kept_lags] * corr).imag
-        block = rotated[0] / ranging.HARMONICS[0]
-        for h, row in zip(ranging.HARMONICS[1:], rotated[1:]):
+        block = rotated[0] / signals.HARMONICS[0]
+        for h, row in zip(signals.HARMONICS[1:], rotated[1:]):
             block = block + row / h
         best = np.argpartition(block, -take)[-take:]
         all_lags.append(best + start)
@@ -967,7 +976,7 @@ def test_scan_runs_on_the_calling_thread_over_at_most_3_of_10_blocks(
     assert set(threads) == {threading.get_ident()}
     assert 1 <= len(threads) <= 3
     threads.clear()
-    monkeypatch.setattr(ranging, "_coarse_blocks", _all_blocks)
+    monkeypatch.setattr(signals, "_coarse_blocks", _all_blocks)
     _default_exchange(cfg)
     assert len(threads) == 10
 
@@ -993,7 +1002,7 @@ PRUNED_DISTANCES = dict(zip(PRUNED_SETTINGS, np.random.default_rng(
 def _record_blocks(monkeypatch):
     """Record, per exchange, the blocks the scan runs and the blocks
     there are."""
-    coarse_blocks = ranging._coarse_blocks
+    coarse_blocks = signals._coarse_blocks
     scanned = []
 
     def recording(matched, rf):
@@ -1001,7 +1010,7 @@ def _record_blocks(monkeypatch):
         scanned.append((len(blocks), len(matched[5])))
         return blocks
 
-    monkeypatch.setattr(ranging, "_coarse_blocks", recording)
+    monkeypatch.setattr(signals, "_coarse_blocks", recording)
     return scanned
 
 
@@ -1011,7 +1020,7 @@ def test_pruned_scan_matches_the_all_blocks_scan(monkeypatch, setting):
     scanned = _record_blocks(monkeypatch)
     bits = _bits_here("one-bit-backscatter", sets, distances)
     assert all(ran < total for ran, total in scanned)
-    monkeypatch.setattr(ranging, "_coarse_blocks", _all_blocks)
+    monkeypatch.setattr(signals, "_coarse_blocks", _all_blocks)
     assert bits == _bits_here("one-bit-backscatter", sets, distances)
 
 

@@ -268,6 +268,19 @@ def test_fsk_round_trip_identity_property(freq0, shift, tb_product,
     assert np.array_equal(back.bits, bits.bits)
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "known defect: the carrier phase is a running float sum, so a half "
+    "cycle that ends exactly on a sample can round to just short of it and "
+    "the sample takes the wrong sign; the round-trip property above then "
+    "fails for bits [1, 1] at freq0 10 kHz, shift 0.09375, 6x oversampling"))
+def test_fsk_square_wave_switches_on_exact_half_cycle_boundaries():
+    cfg = FskConfig(freq0=1e4, freq1=10937.5, sample_rate=65625.0)
+    wave = fsk_modulate(BitStream(np.ones(2, dtype=np.uint8), 1e4 / 6), cfg)
+    # six samples per carrier cycle: three high, then three low
+    expected = np.tile([1.0, 1.0, 1.0, -1.0, -1.0, -1.0], 14)[:len(wave)]
+    assert np.array_equal(wave.samples, expected)
+
+
 def test_fsk_noisy_bit_error_rate():
     # 10 dB SNR against a unit-power square carrier, 1e4 bits
     cfg = FskConfig()
@@ -472,17 +485,22 @@ def test_xcorr_constant_segment_scores_zero_in_a_varying_reference():
                         Waveform(np.ones(4), 1e3)) == (0.0, 0.0)
 
 
-@pytest.mark.parametrize("value", [0.7, -3.0, 0.1, 1.3])
-def test_xcorr_finds_a_constant_segment_on_its_plateau(value):
+@pytest.mark.parametrize("value, n, start", [
+    (0.7, 134, 44), (-3.0, 134, 44), (0.1, 134, 44), (1.3, 134, 44),
+    (0.1, 6000, 5000),
+], ids=["0.7", "-3.0", "0.1", "1.3", "0.1-past-the-candidate-cap"])
+def test_xcorr_finds_a_constant_segment_on_its_plateau(value, n, start):
     # the rounded mean of 0.7 or 1.3 leaves a ~2e-16 residue on a centred
     # constant; the segment must still centre to zero energy, so that it
-    # meets its zero-variance plateau at 1.0
+    # meets its zero-variance plateau at 1.0.  The plateau's rounded window
+    # energy need not be 0 either, and at 6,000 samples a plateau the scan
+    # misses ties with every lag, past the 4,096 that are rescored
     for seed in range(40):
-        x = np.random.default_rng(seed).standard_normal(134)
-        x[44:55] = value
+        x = np.random.default_rng(seed).standard_normal(n)
+        x[start:start + 11] = value
         lag, peak = xcorr_offset(Waveform(x, 1.0),
                                  Waveform(np.full(11, value), 1.0))
-        assert (lag, peak) == (44.0, 1.0), f"seed {seed}"
+        assert (lag, peak) == (float(start), 1.0), f"seed {seed}"
 
 
 def test_xcorr_rejects_mismatched_rates():
