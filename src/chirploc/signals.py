@@ -240,17 +240,21 @@ def _square_wave(phase: np.ndarray) -> np.ndarray:
 
 
 def _carrier_phase(bits: BitStream, cfg: FskConfig) -> np.ndarray:
-    """Carrier phase, in cycles, at each sample ``fsk_modulate`` outputs:
-    ``(j freq0 + high[j] (freq1 - freq0)) / sample_rate`` at sample j, of
-    whose j predecessors ``high[j]`` were sent at freq1.  Unlike a running
-    sum of 0.1 and 0.11 cycles, which flips about 1 default sample in 150,
-    that is exact for whole or dyadic tones, so a half cycle that ends on a
-    sample switches ``_square_wave`` there."""
+    """Carrier phase, in cycles, at each sample ``fsk_modulate`` outputs.
+
+    Accumulating it keeps the carrier continuous across bit boundaries; the
+    running sum can round a half cycle that ends exactly on a sample to just
+    short of it, which gives that sample the previous half cycle's sign.
+    """
     edges = _bit_boundaries(len(bits), cfg.sample_rate / bits.bit_rate)
-    on_freq1 = np.repeat(bits.bits, np.diff(edges))[:-1]
-    high = np.concatenate(([0], np.cumsum(on_freq1, dtype=np.int64)))
-    return (np.arange(high.size) * cfg.freq0
-            + high * (cfg.freq1 - cfg.freq0)) / cfg.sample_rate
+    cycles = np.repeat(_cycles_per_sample(bits.bits, cfg), np.diff(edges))
+    return np.concatenate(([0.0], np.cumsum(cycles[:-1])))
+
+
+def _cycles_per_sample(bits: np.ndarray, cfg: FskConfig) -> np.ndarray:
+    """Carrier cycles per output sample while each bit is on the air."""
+    return np.where(bits, cfg.freq1 / cfg.sample_rate,
+                    cfg.freq0 / cfg.sample_rate)
 
 
 def fft_size(n: int) -> int:
@@ -375,17 +379,17 @@ def _backscatter_reference(chirp: ChirpSpec, reach: int, m: int,
                            fsk: FskConfig, threshold: float) -> tuple:
     """The beacon side of the one-bit matched filter, built once per config.
 
-    Returns ``(reference, replica, size, step, lags, spectra, rotations,
+    Returns ``(reference, cycles, size, step, lags, spectra, rotations,
     coarse)``: the first ``reach`` samples of ``chirp`` (at the RF rate),
-    ``(high, fsk)`` with ``high[j]`` the 1-bits of their comparator bits
-    before bit j, the block FFT size, the lags between block starts, the
-    number of lags an ``m``-sample window can take, and, with ``P`` the
-    modulator's carrier phase and h the i-th of ``HARMONICS``, ``spectra[b,
-    i]``, the ``size``-point FFT of ``exp(2 pi i h P)`` from sample ``b *
-    step`` on, and ``rotations[i] = conj(exp(2 pi i h P[:lags]))``.
-    ``coarse`` is ``_coarse_blocks``' reference: the advance of ``P`` over
-    each ``COARSE_BIN`` samples from sample 0 on, and its ``_window_stats``
-    for the ``_coarse_bins(m)`` bins a capture keeps, or None when it keeps
+    the carrier cycles ``fsk_modulate`` advances per comparator bit of each,
+    the block FFT size, the lags between block starts, the number of lags an
+    ``m``-sample window can take, and, with ``P`` the modulator's carrier
+    phase and h the i-th of ``HARMONICS``, ``spectra[b, i]``, the
+    ``size``-point FFT of ``exp(2 pi i h P)`` from sample ``b * step`` on,
+    and ``rotations[i] = conj(exp(2 pi i h P[:lags]))``.  ``coarse`` is
+    ``_coarse_blocks``' reference: the advance of ``P`` over each
+    ``COARSE_BIN`` samples from sample 0 on, and its ``_window_stats`` for
+    the ``_coarse_bins(m)`` bins a capture keeps, or None when it keeps
     none.  Blocks follow the capture length alone: ``size = min(fft_size(3
     m), fft_size(n))``.  Only the last config is kept, about 19 MB at the
     defaults; every array is read-only, so no exchange can change what a
@@ -408,8 +412,7 @@ def _backscatter_reference(chirp: ChirpSpec, reach: int, m: int,
     if bins > 0:
         advance = _readonly(np.diff(phase[::COARSE_BIN]))
         coarse = (advance, _readonly(_window_stats(advance, bins)))
-    high = np.concatenate(([0], np.cumsum(ref_bits.bits[:-1], dtype=np.int64)))
-    return (reference, (_readonly(high), fsk),
+    return (reference, _readonly(_cycles_per_sample(ref_bits.bits, fsk)),
             size, step, lags, _readonly(spectra),
             _readonly(np.conj(tones[:, :lags])), coarse)
 
@@ -527,24 +530,21 @@ def _locate_backscatter(matched: tuple, rf: np.ndarray,
     return int(shortlist[best]) / rate, float(exact[best])
 
 
-def _exact_scores(replica: tuple, lags: np.ndarray, yz: np.ndarray,
+def _exact_scores(cycles: np.ndarray, lags: np.ndarray, yz: np.ndarray,
                   ey2: float) -> np.ndarray:
     """``pearson_window``, bit for bit, of ``fsk_modulate`` of the
     ``m = yz.size`` reference bits from each lag k on against the centred
-    ``yz`` of energy ``ey2``.  ``replica`` is ``_backscatter_reference``'s
-    ``(high, fsk)``.  Bits are samples at the RF rate, so the replica's
-    phase is ``_carrier_phase``'s with ``high[k:k + m] - high[k]`` for its
-    ``high``, here doubled by halving the divisor, which is exact; its
+    ``yz`` of energy ``ey2``.  Bits are samples at the RF rate, so the
+    replica's phase is the running sum of ``cycles[k:k + m - 1]`` from 0,
+    and it is +1 where ``floor(2 phase)`` is even (``_square_wave``); its
     samples sum to an integer, so its count of low ones gives its mean
     exactly."""
-    high, fsk = replica
     m = yz.size
-    base = np.arange(m) * fsk.freq0
-    step, half = fsk.freq1 - fsk.freq0, fsk.sample_rate / 2
+    phase = np.zeros(m)
     scores = np.empty(len(lags))
     for i, k in enumerate(lags):
-        twice = ((high[k:k + m] - high[k]) * step + base) / half
-        low = twice.astype(np.int64) & 1
+        np.cumsum(cycles[k:k + m - 1], out=phase[1:])
+        low = (2.0 * phase).astype(np.int64) & 1
         mean = (m - 2 * int(np.count_nonzero(low))) / m
         xz = np.array((1.0 - mean, -1.0 - mean))[low]
         scores[i] = _centred_pearson(xz, yz, ey2)

@@ -508,29 +508,29 @@ true_distance_m,est_distance_m,abs_error_m,corr_peak,mode
     ("--set", "channel.noise_std=0.02"): """\
 true_distance_m,est_distance_m,abs_error_m,corr_peak,mode
 0.5,0.500208333333333,0.00020833333333303283,0.9996929006814945,ideal-audio
-0.5,0.4999568,4.3200000000021e-05,0.9566014872040347,one-bit-backscatter
+0.5,0.4999568,4.3200000000021e-05,0.9614023080706317,one-bit-backscatter
 1.0,1.0004166666666672,0.0004166666666671759,0.9994984428700211,ideal-audio
-1.0,0.9873941000000005,0.012605899999999504,0.9678001613241778,one-bit-backscatter
+1.0,0.9873941000000005,0.012605899999999504,0.9622004811003617,one-bit-backscatter
 1.5,1.500625,0.0006250000000000977,0.9991158135120344,ideal-audio
-1.5,1.5129387000000003,0.012938700000000303,0.922,one-bit-backscatter
+1.5,1.5129387000000003,0.012938700000000303,0.9298000129800036,one-bit-backscatter
 2.0,2.000833333333334,0.0008333333333339077,0.9981900786071776,ideal-audio
-2.0,2.0132385,0.013238499999999931,0.9229999814999967,one-bit-backscatter
+2.0,2.0132728,0.013272800000000196,0.9228000645600302,one-bit-backscatter
 2.5,2.4992552083333335,0.0007447916666665222,0.9974743452762257,ideal-audio
-2.5,2.5815208999999997,0.08152089999999967,0.736199803683856,one-bit-backscatter
+2.5,2.5815208999999997,0.08152089999999967,0.7475999091359673,one-bit-backscatter
 3.0,2.9994635416666666,0.0005364583333333783,0.9958782497801444,ideal-audio
-3.0,3.0000495000000003,4.950000000025767e-05,0.9096003019200749,one-bit-backscatter
+3.0,3.0000838,8.380000000007826e-05,0.9112003057920453,one-bit-backscatter
 3.5,3.499671875,0.0003281249999997904,0.9956156075108418,ideal-audio
-3.5,3.5142065000000002,0.014206500000000233,0.8870004435003335,one-bit-backscatter
+3.5,3.5142065000000002,0.014206500000000233,0.8871999819519986,one-bit-backscatter
 4.0,3.999880208333334,0.00011979166666620245,0.9940094754464425,ideal-audio
-4.0,3.9272128000000004,0.07278719999999961,0.7234000144680015,one-bit-backscatter
+4.0,3.9272128000000004,0.07278719999999961,0.7224002644800651,one-bit-backscatter
 4.5,4.500088541666667,8.854166666694141e-05,0.9909777726286171,ideal-audio
-4.5,4.455227,0.044773000000000174,0.7693999724600877,one-bit-backscatter
+4.5,4.455227,0.044773000000000174,0.7639999856000178,one-bit-backscatter
 5.0,5.000296875,0.00029687500000008527,0.9912720203769078,ideal-audio
-5.0,5.1074415,0.10744150000000019,0.6722001209960324,one-bit-backscatter
+5.0,5.1074415,0.10744150000000019,0.6666001466600165,one-bit-backscatter
 5.5,5.500505208333333,0.0005052083333332291,0.987043309405474,ideal-audio
-5.5,5.4530826,0.04691739999999989,0.8182003072926545,one-bit-backscatter
+5.5,5.4530826,0.04691739999999989,0.8182013836624515,one-bit-backscatter
 6.0,6.000713541666667,0.0007135416666672612,0.9858655667862152,ideal-audio
-6.0,6.0973395,0.09733950000000036,0.659802638370843,one-bit-backscatter
+6.0,6.097168,0.09716799999999992,0.6650016093058411,one-bit-backscatter
 """,
 }
 

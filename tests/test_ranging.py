@@ -510,10 +510,7 @@ def test_backscatter_locator_matches_exhaustive_replica_oracle(
     scores = (short_replicas @ rfz) / np.sqrt(
         np.einsum("ij,ij->i", short_replicas, short_replicas) * (rfz @ rfz))
     lag = int(round(r.lag * rate))
-    # equal replicas tie exactly, and the locator takes the smallest lag of
-    # a tie; the rounded oracle scores of equal rows need not be equal
-    best = short_replicas[int(np.argmax(scores))]
-    assert lag == np.flatnonzero((short_replicas == best).all(axis=1))[0]
+    assert lag == int(np.argmax(scores))
     assert r.peak == pytest.approx(scores[lag], abs=1e-12)
 
 
@@ -524,7 +521,7 @@ def test_replicas_match_the_modulator_at_every_lag(short_modulated, m):
     reach = round(SHORT_TIMELINE.wakeup_delay * rate) + m + 1
     spec = dataclasses.replace(SHORT_CHIRP, sample_rate=rate)
     matched = signals._backscatter_reference(spec, reach, m, FSK, 0.0)
-    replica, lags = matched[1], matched[4]
+    cycles, lags = matched[1], matched[4]
     replicas = (short_modulated if short_modulated.shape[1] == m
                 else _modulated_replicas(m))
     assert replicas.shape == (lags, m) == (SHORT_LAGS, m)
@@ -539,7 +536,7 @@ def test_replicas_match_the_modulator_at_every_lag(short_modulated, m):
     ey2 = float(np.dot(rfz, rfz))
     expected = np.array([pearson_window(replica, 0, rfz, ey2)
                          for replica in replicas])
-    got = signals._exact_scores(replica, np.arange(lags), rfz, ey2)
+    got = signals._exact_scores(cycles, np.arange(lags), rfz, ey2)
     assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
     if m > 2:
         assert len(np.unique(expected)) > 1000
@@ -573,39 +570,39 @@ def test_warm_default_exchange_peaks_under_6_mb():
 GOLDEN_DISTANCES = (0.5, 1.3, 2.2, 3.2, 4.5, 5.9)
 GOLDEN = {
     "noise-0.05": (["channel.noise_std=0.05"], [
-        ("0x1.2e9d36dd0bdf3p-6", "0x1.d7dc0a0f4c62dp-1"),
-        ("0x1.085b18548a9bdp-6", "0x1.c56d5f828ffe0p-1"),
-        ("0x1.c38cb22a8a174p-7", "0x1.a12d7ab8f37c4p-1"),
-        ("0x1.56f9e1d8cd8c1p-7", "0x1.76c8b6305ee25p-1"),
-        ("0x1.ce52deca2552ap-8", "0x1.458792cd054e6p-1"),
-        ("0x1.75048edaf9b64p-9", "0x1.b6ae7d566cf42p-1"),
+        ("0x1.2e9d36dd0bdf3p-6", "0x1.d532bda22c136p-1"),
+        ("0x1.085b18548a9bdp-6", "0x1.cbac801cb8de0p-1"),
+        ("0x1.c38cb22a8a174p-7", "0x1.a0c4af5048447p-1"),
+        ("0x1.56f9e1d8cd8c1p-7", "0x1.76fd357ca1683p-1"),
+        ("0x1.ce548c494efe7p-8", "0x1.468db3d4d1916p-1"),
+        ("0x1.75048edaf9b64p-9", "0x1.b3eab19531f6bp-1"),
     ]),
     "noise-0.1": (["channel.noise_std=0.1"], [
-        ("0x1.2cd47460faecap-6", "0x1.906256387d824p-1"),
-        ("0x1.0ad03d9a95422p-6", "0x1.c0b788c91e1dcp-1"),
-        ("0x1.c0ff3930a3360p-7", "0x1.a872bf69d3eddp-1"),
-        ("0x1.56f9e1d8cd8c1p-7", "0x1.617cbf44473f5p-1"),
-        ("0x1.ba5c87c05341cp-8", "0x1.55b571afad19bp-1"),
-        ("0x1.62896213f14e9p-9", "0x1.251207d2e2bedp-1"),
+        ("0x1.2cd47460faecap-6", "0x1.9013c49eca15cp-1"),
+        ("0x1.0ad03d9a95422p-6", "0x1.c068eb3d417bbp-1"),
+        ("0x1.c0ff3930a3360p-7", "0x1.a76c9a882d552p-1"),
+        ("0x1.56f9e1d8cd8c1p-7", "0x1.624e3356f2106p-1"),
+        ("0x1.ba5c87c05341cp-8", "0x1.578d5ce554a3fp-1"),
+        ("0x1.62896213f14e9p-9", "0x1.22b71dbfb0e58p-1"),
     ]),
     "echo-interpolated": ([
         "channel.multipath=[[0.0005, 0.5]]",
         "channel.interpolate_delays=true"], [
-        ("0x1.2f3f88ac0b8c2p-6", "0x1.f03afa00e646fp-1"),
-        ("0x1.08eaf5acbfe71p-6", "0x1.e7d5695e04516p-1"),
-        ("0x1.bab649d388a8bp-7", "0x1.f0a3d985e53bdp-1"),
-        ("0x1.598c63503170cp-7", "0x1.e92a361a6ce8dp-1"),
-        ("0x1.d10ccd6ddc7c7p-8", "0x1.bf2e496d1c834p-1"),
-        ("0x1.8de53070e113bp-9", "0x1.c2a9985cd5699p-1"),
+        ("0x1.2ea6dc783b7b0p-6", "0x1.f2474591959efp-1"),
+        ("0x1.08eaf5acbfe71p-6", "0x1.e7a0fb66d6f44p-1"),
+        ("0x1.bab649d388a8bp-7", "0x1.f4a233ab7c3edp-1"),
+        ("0x1.5ae528e424d82p-7", "0x1.e8a71de69ad43p-1"),
+        ("0x1.d10ccd6ddc7c7p-8", "0x1.c8ce7303c6e52p-1"),
+        ("0x1.8de53070e113bp-9", "0x1.c2a998af28cc2p-1"),
     ]),
     "capture-4ms": ([
         "timeline.capture_duration_s=0.004", "channel.noise_std=0.05"], [
-        ("0x1.2fcc7665b7eacp-6", "0x1.acf41ae01493fp-1"),
-        ("0x1.086020d2079f3p-6", "0x1.6a4aa4445352ep-1"),
-        ("0x1.bfab7c1a2cd1fp-7", "0x1.590ffafee0937p-1"),
-        ("0x1.5c53bded35f8ep-7", "0x1.e28f5ba0f1a07p-2"),
-        ("0x1.b526bdd9eac28p-8", "0x1.73ddb40b1ade3p-2"),
-        ("0x1.6ed4c9f15039dp-9", "0x1.51e4f7888e42cp-1"),
+        ("0x1.2fcce1c58255bp-6", "0x1.aa4a8a7c0da93p-1"),
+        ("0x1.086020d2079f3p-6", "0x1.6d07d7d76fa31p-1"),
+        ("0x1.bfab7c1a2cd1fp-7", "0x1.567a118e06935p-1"),
+        ("0x1.5c53bded35f8ep-7", "0x1.e2f8380c789f7p-2"),
+        ("0x1.b525105ac116bp-8", "0x1.73f7e33fcbd53p-2"),
+        ("0x1.6ed4c9f15039dp-9", "0x1.546dc139d0222p-1"),
     ]),
 }
 GOLDEN_CHILD = """
@@ -731,7 +728,7 @@ def test_ideal_exchanges_match_their_golden_bits(setting):
 
 @pytest.mark.xfail(strict=True, reason=(
     "known defect: a 50 us capture's comparator bits repeat exactly at "
-    "other lags, so one-bit reads 0.5 m as 0.9164 m and 2.0 m as 0.5768 m, "
+    "other lags, so one-bit reads 0.5 m as 1.0057 m and 2.0 m as 2.2013 m, "
     "each with a score of 1.0"))
 @pytest.mark.parametrize("distance", [0.5, 2.0])
 def test_short_one_bit_capture_ranges_within_1_mm(distance):
@@ -797,26 +794,23 @@ def test_cached_reference_side_is_read_only():
     key = (spec, 6001, 1000, FSK, 0.0)
     matched = signals._backscatter_reference(*key)
     assert signals._backscatter_reference(*key) is matched
-    reference, replica, size, step, lags, spectra, rotations, coarse = matched
+    reference, cycles, size, step, lags, spectra, rotations, coarse = matched
     # a 1000-sample window: blocks of fft_size(3000) samples, 2001 lags apart
     assert (len(reference), size, step, lags) == (6001, 3000, 2001, 5002)
     assert spectra.shape == (3, len(signals.HARMONICS), 3000)
     assert rotations.shape == (len(signals.HARMONICS), 5002)
-    # the replica counts the 1-bits among the reference's comparator bits
-    # before each, under the modulator's config
-    ref_bits = one_bit_quantize(reference)
-    high, fsk = replica
-    assert fsk is FSK
-    assert np.array_equal(high, np.concatenate(
-        ([0], np.cumsum(ref_bits.bits[:-1]))))
-    # the coarse reference is the modulator's phase advance over each
-    # 50-sample bin, and its window energies span the 17 bins a 1000-sample
-    # capture keeps
+    # the cycle table is the modulator's, one entry per reference sample
+    bits = one_bit_quantize(reference).bits
+    assert np.array_equal(cycles, np.where(bits, FSK.freq1 / FSK.sample_rate,
+                                           FSK.freq0 / FSK.sample_rate))
+    # the coarse reference is that table's advance over each 50-sample bin,
+    # and its window energies span the 17 bins a 1000-sample capture keeps
     advance, ex2 = coarse
-    phase = _carrier_phase(ref_bits, FSK)
+    phase = np.concatenate(([0.0], np.cumsum(cycles)))
     assert np.array_equal(advance, np.diff(phase[::signals.COARSE_BIN]))
     assert (advance.size, ex2.size) == (120, 104)
-    for array in (reference.samples, high, spectra, rotations, advance, ex2):
+    for array in (reference.samples, cycles, spectra, rotations, advance,
+                  ex2):
         with pytest.raises(ValueError):
             array[0] = 0
 
