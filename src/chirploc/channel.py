@@ -23,6 +23,9 @@ __all__ = [
     "sample_window",
 ]
 
+# normals drawn at a time to discard the noise before a capture window
+NOISE_CHUNK = 1 << 14
+
 
 @dataclass(frozen=True)
 class AcousticChannel:
@@ -56,12 +59,10 @@ class AcousticChannel:
             raise ParameterError(f"distance must be >= 0, got {self.distance}")
         if not self.speed_of_sound > 0:
             raise ParameterError(
-                f"speed_of_sound must be positive, got {self.speed_of_sound}"
-            )
+                f"speed_of_sound must be positive, got {self.speed_of_sound}")
         if self.attenuation_exponent < 0:
             raise ParameterError(
-                f"attenuation_exponent must be >= 0, got {self.attenuation_exponent}"
-            )
+                f"attenuation_exponent must be >= 0, got {self.attenuation_exponent}")
         if self.noise_std < 0:
             raise ParameterError(f"noise_std must be >= 0, got {self.noise_std}")
         if not isinstance(self.interpolate_delays, (bool, np.bool_)):
@@ -71,8 +72,7 @@ class AcousticChannel:
         for extra_delay, _gain in taps:
             if extra_delay < 0:
                 raise ParameterError(
-                    f"multipath extra delay must be >= 0, got {extra_delay}"
-                )
+                    f"multipath extra delay must be >= 0, got {extra_delay}")
         object.__setattr__(self, "multipath", taps)
 
     @property
@@ -100,28 +100,51 @@ class ReceiveWindow:
             raise ParameterError(f"duration must be positive, got {self.duration}")
         if not self.sample_rate > 0:
             raise ParameterError(
-                f"sample_rate must be positive, got {self.sample_rate}"
-            )
+                f"sample_rate must be positive, got {self.sample_rate}")
 
     @property
     def n_samples(self) -> int:
         return int(round(self.duration * self.sample_rate))
 
 
-def _shift_add(out: np.ndarray, src: np.ndarray, shift: float, gain: float,
-               interpolate: bool) -> None:
-    """Add gain*src into out at a (possibly fractional) sample offset."""
-    if interpolate:
-        lo = int(math.floor(shift))
-        frac = shift - lo
-        if frac == 0.0:
-            out[lo:lo + src.size] += gain * src
-        else:
-            out[lo:lo + src.size] += gain * (1.0 - frac) * src
-            out[lo + 1:lo + 1 + src.size] += gain * frac * src
+def _terms(ch: AcousticChannel, fs: float) -> list[tuple[int, float]]:
+    """The direct path and each tap as ``(shift, coefficient)`` terms, in
+    the order they add coefficient times the attenuated direct path
+    ``shift`` samples on; an interpolated tap off the grid is two terms."""
+    terms = [(0, 1.0)]
+    for extra_delay, gain in ch.multipath:
+        shift = extra_delay * fs
+        k = math.floor(shift) if ch.interpolate_delays else round(shift)
+        frac = shift - k if ch.interpolate_delays else 0.0
+        terms += ([(k, gain)] if frac == 0.0 else
+                  [(k, gain * (1.0 - frac)), (k + 1, gain * frac)])
+    return terms
+
+
+def _received(tx: np.ndarray, ch: AcousticChannel, fs: float, lo: int,
+              hi: int) -> np.ndarray:
+    """Samples ``[lo, hi)`` of the channel's output for the input ``tx``:
+    the ``_terms`` reaching each sample ``i``, summed in order, plus
+    ``noise_std`` times the ``i``-th normal of the seeded stream.  The
+    normals before ``lo`` are drawn into a ``NOISE_CHUNK`` buffer and
+    dropped: each takes a varying number of raw draws, so none can be skipped."""
+    if not ch.multipath:
+        out = ch.gain * tx[lo:hi]
     else:
-        k = int(round(shift))
-        out[k:k + src.size] += gain * src
+        out = np.zeros(hi - lo)
+        for k, coef in _terms(ch, fs):
+            a, b = max(lo, k), min(hi, k + tx.size)
+            if a < b:
+                out[a - lo:b - lo] += coef * (ch.gain * tx[a - k:b - k])
+    if ch.noise_std > 0:
+        rng = np.random.default_rng(ch.rng_seed)
+        head = np.empty(min(lo, NOISE_CHUNK))
+        for done in range(0, lo, NOISE_CHUNK):
+            rng.standard_normal(out=head[:lo - done])
+        # numpy's normal(0, s) is 0 + s * z: the same noise, added in place
+        noise = rng.standard_normal(out.size)
+        out += np.multiply(noise, ch.noise_std, out=noise)
+    return out
 
 
 def propagate_acoustic(tx: Waveform, ch: AcousticChannel) -> Waveform:
@@ -129,30 +152,13 @@ def propagate_acoustic(tx: Waveform, ch: AcousticChannel) -> Waveform:
 
     The direct-path delay moves the time origin rather than the samples, so
     it is exact.  Multipath taps are shifted copies of the attenuated direct
-    path; noise is added last over the whole output support.
+    path; noise is added last, the ``i``-th normal of the channel's seeded
+    stream at sample ``i``, so ``_capture`` computes a window alone, in
+    memory no delay grows (the draws before the window still take time).
     """
-    fs = tx.sample_rate
-    direct = ch.gain * tx.samples
-
-    if ch.multipath:
-        # pad only as far as the farthest tap actually lands
-        if ch.interpolate_delays:
-            pad = max(int(math.ceil(d * fs)) for d, _ in ch.multipath)
-        else:
-            pad = max(int(round(d * fs)) for d, _ in ch.multipath)
-        out = np.zeros(tx.samples.size + pad)
-        out[:direct.size] += direct
-        for extra_delay, gain in ch.multipath:
-            _shift_add(out, direct, extra_delay * fs, gain, ch.interpolate_delays)
-    else:
-        out = direct
-
-    if ch.noise_std > 0:
-        # numpy's normal(0, s) is 0 + s * z: the same noise, added in place
-        noise = np.random.default_rng(ch.rng_seed).standard_normal(out.size)
-        out += np.multiply(noise, ch.noise_std, out=noise)
-
-    return Waveform(out, fs, tx.t_origin + ch.delay)
+    size = tx.samples.size + max(k for k, _ in _terms(ch, tx.sample_rate))
+    return Waveform(_received(tx.samples, ch, tx.sample_rate, 0, size),
+                    tx.sample_rate, tx.t_origin + ch.delay)
 
 
 def sample_window(rx: Waveform, window: ReceiveWindow,
@@ -167,21 +173,34 @@ def sample_window(rx: Waveform, window: ReceiveWindow,
     if not math.isclose(window.sample_rate, rx.sample_rate, rel_tol=1e-9):
         raise ParameterError(
             f"window sample rate ({window.sample_rate}) must match the "
-            f"waveform sample rate ({rx.sample_rate})"
-        )
+            f"waveform sample rate ({rx.sample_rate})")
+    # a zero-length channel passes rx on as it is
+    return _capture(rx.samples, rx.sample_rate, rx.t_origin,
+                    AcousticChannel(0.0), window, interpolate)
+
+
+def _capture(tx: np.ndarray, fs: float, t_origin: float, ch: AcousticChannel,
+             window: ReceiveWindow, interpolate: bool = False) -> Waveform:
+    """``sample_window(propagate_acoustic(Waveform(tx, fs, t_origin), ch),
+    window, interpolate)``, bit for bit, computing only the received samples
+    the window reads: at most its length plus two, however long ``tx`` is
+    or however far a tap lands."""
     n = window.n_samples
-    offset = (window.start_time - rx.t_origin) * rx.sample_rate
+    size = tx.size + max(k for k, _ in _terms(ch, fs))
+    offset = (window.start_time - (t_origin + ch.delay)) * fs
     out = np.zeros(n)
     if interpolate:
         pos = offset + np.arange(n)
-        inside = (pos >= 0.0) & (pos <= rx.samples.size - 1)
+        inside = (pos >= 0.0) & (pos <= size - 1)
         if inside.any():
-            out[inside] = np.interp(pos[inside], np.arange(rx.samples.size),
-                                    rx.samples)
+            pos = pos[inside]
+            lo, hi = math.floor(pos[0]), min(math.floor(pos[-1]) + 2, size)
+            # absolute indices as abscissae keep each interpolated sample's bits
+            out[inside] = np.interp(pos, np.arange(lo, hi),
+                                    _received(tx, ch, fs, lo, hi))
     else:
         start = int(round(offset))
-        src_lo = max(start, 0)
-        src_hi = min(start + n, rx.samples.size)
-        if src_hi > src_lo:
-            out[src_lo - start:src_hi - start] = rx.samples[src_lo:src_hi]
-    return Waveform(out, rx.sample_rate, window.start_time)
+        lo, hi = max(start, 0), min(start + n, size)
+        if hi > lo:
+            out[lo - start:hi - start] = _received(tx, ch, fs, lo, hi)
+    return Waveform(out, fs, window.start_time)

@@ -13,12 +13,11 @@ comparator bits; ``signals`` holds the matched filter that locates it.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import AcousticChannel, ReceiveWindow, propagate_acoustic, sample_window
+from .channel import AcousticChannel, ReceiveWindow, _capture
 from .errors import ConvergenceError, GeometryError, ParameterError, RangeWindowError
 from .signals import (
     ChirpSpec,
@@ -62,12 +61,10 @@ class RangingTimeline:
         if self.wakeup_time < self.chirp_start:
             raise ParameterError(
                 f"wakeup_time ({self.wakeup_time}) must not precede "
-                f"chirp_start ({self.chirp_start})"
-            )
+                f"chirp_start ({self.chirp_start})")
         if not self.capture_duration > 0:
             raise ParameterError(
-                f"capture_duration must be positive, got {self.capture_duration}"
-            )
+                f"capture_duration must be positive, got {self.capture_duration}")
 
     @property
     def wakeup_delay(self) -> float:
@@ -79,11 +76,8 @@ class RangingTimeline:
 
     def min_distance(self, speed_of_sound: float, chirp_duration: float) -> float:
         """Nearest tag whose capture ends before the chirp tail passes."""
-        return max(
-            0.0,
-            speed_of_sound
-            * (self.wakeup_delay + self.capture_duration - chirp_duration),
-        )
+        return max(0.0, speed_of_sound * (
+            self.wakeup_delay + self.capture_duration - chirp_duration))
 
 
 @dataclass(frozen=True)
@@ -118,8 +112,7 @@ class BeaconSet:
             raise ParameterError("positions must be finite")
         if k < dims + 1:
             raise ParameterError(
-                f"need at least {dims + 1} beacons for a {dims}-D fix, got {k}"
-            )
+                f"need at least {dims + 1} beacons for a {dims}-D fix, got {k}")
         spread = pos - pos.mean(axis=0)
         if np.linalg.matrix_rank(spread) < dims:
             kind = "collinear" if dims == 2 else "coplanar"
@@ -157,10 +150,11 @@ def simulate_ranging(
     Only the part of the chirp a capture can reach is synthesized: the first
     ``wakeup_delay + capture_duration`` seconds, plus one sample for an
     interpolated window edge; the lags searched end one sample past the
-    zero-distance lag.  Only the part this tag's window reads, up to its
-    end, is propagated and has noise added.  Each kept sample, and each
-    noise draw on it, is what the full chirp would give, so the captured
-    window is identical.
+    zero-distance lag.  The received signal is computed over the capture
+    window alone; sample i's noise is still the i-th normal of the
+    channel's seeded stream, so the window is what the full chirp gives.
+    Its memory does not grow with distance, wake-up delay or echo delay,
+    but the time to draw the normals before the window still does.
 
     Raises:
         ParameterError: if the capture holds no sample at the mode's rate.
@@ -182,8 +176,7 @@ def simulate_ranging(
             f"(chirp_start={timeline.chirp_start}, "
             f"wakeup_time={timeline.wakeup_time}, "
             f"capture_duration={timeline.capture_duration}, "
-            f"chirp duration={chirp.duration})"
-        )
+            f"chirp duration={chirp.duration})")
 
     # the comparator switches tones asynchronously; its transitions are
     # observable at the RF sampling resolution
@@ -192,8 +185,7 @@ def simulate_ranging(
     if window.n_samples == 0:
         raise ParameterError(
             f"capture_duration {timeline.capture_duration} s holds no sample "
-            f"at the {mode} sample rate of {rate} Hz"
-        )
+            f"at the {mode} sample rate of {rate} Hz")
     # a tag at zero distance starts its window round(wakeup_delay * rate)
     # samples into the chirp, and an interpolated window reads one further
     reach = round(timeline.wakeup_delay * rate) + window.n_samples + 1
@@ -203,15 +195,8 @@ def simulate_ranging(
         matched = _backscatter_reference(
             dataclasses.replace(chirp, sample_rate=rate), reach,
             window.n_samples, fsk, threshold)
-    reference = matched[0]
-    # this tag's window reads only samples before ceil(its start) +
-    # n_samples; two more absorb rounding in where the window lands
-    heard = min(len(reference), window.n_samples + 2 + math.ceil(
-        (timeline.wakeup_delay - channel.delay) * rate))
-    tx = dataclasses.replace(reference, samples=reference.samples[:heard],
-                             t_origin=timeline.chirp_start)
-    captured = sample_window(propagate_acoustic(tx, channel), window,
-                             interpolate=channel.interpolate_delays)
+    captured = _capture(matched[0].samples, rate, timeline.chirp_start,
+                        channel, window, channel.interpolate_delays)
 
     if mode == "ideal-audio":
         lag, peak = _locate(*matched[1:], _unit_scale(captured.samples), rate)
@@ -225,8 +210,7 @@ def simulate_ranging(
     clamped = raw < 0
     distance = max(raw, 0.0)
     return RangingResult(
-        lag=lag, peak=peak, tof=distance / c, distance=distance, clamped=clamped
-    )
+        lag=lag, peak=peak, tof=distance / c, distance=distance, clamped=clamped)
 
 
 def trilaterate(
@@ -251,8 +235,7 @@ def trilaterate(
     d = np.asarray(distances, dtype=np.float64)
     if d.shape != (k,):
         raise ParameterError(
-            f"need one distance per beacon: {k} beacons, {d.size} distances"
-        )
+            f"need one distance per beacon: {k} beacons, {d.size} distances")
     # LAPACK would reject a NaN or infinity only mid-solve, printing errors
     if not (np.isfinite(d) & (d >= 0)).all():
         raise ParameterError(f"distances must be finite and >= 0, got {d}")
@@ -273,8 +256,7 @@ def trilaterate(
         if rank < dims:
             raise GeometryError(
                 f"Jacobian rank {rank} < {dims} at iterate {x}; beacon "
-                "geometry does not constrain the fix"
-            )
+                "geometry does not constrain the fix")
         x = x + step
         if np.linalg.norm(step) < 1e-9:
             diff = x - pos
@@ -282,11 +264,9 @@ def trilaterate(
             return PositionFix(
                 coordinates=x,
                 residual_rms=float(np.sqrt(np.mean(residual**2))),
-                iterations=iteration,
-            )
+                iterations=iteration)
     raise ConvergenceError(
         f"no convergence after {max_iterations} iterations; last iterate {x} "
         f"with residual RMS {float(np.sqrt(np.mean(residual**2))):.3e}",
         last_iterate=x,
-        iterations=max_iterations,
-    )
+        iterations=max_iterations)

@@ -506,9 +506,10 @@ def _scan(matched: tuple, rfz: np.ndarray,
 
 
 def _best(scores: np.ndarray) -> np.ndarray:
-    """Indices of the ``RESCORED_LAGS`` highest scores, or of all of them."""
+    """Indices of the ``RESCORED_LAGS`` highest scores, or of all of them:
+    a copy, so the whole ``argpartition`` is freed at once."""
     take = min(RESCORED_LAGS, len(scores))
-    return np.argpartition(scores, -take)[-take:]
+    return np.argpartition(scores, -take)[-take:].copy()
 
 
 def _locate_backscatter(matched: tuple, rf: np.ndarray,

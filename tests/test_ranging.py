@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import chirploc
+import chirploc.channel as channel_module
 import chirploc.ranging as ranging
 import chirploc.signals as signals
 from chirploc import (
@@ -408,10 +409,31 @@ def _captured_full_chirp(chirp, channel, timeline, rate):
 
 
 ECHO = ((5e-4, 0.5),)
+# the echo lands 20,000 RF samples late, twice the capture's length
+LATE_ECHO = ((2e-3, 0.5),)
 # wakes 0.3 RF samples off the sample grid, so an interpolated window at zero
 # distance reads one sample past round(wakeup_delay * rate) + its length
 OFF_GRID_TIMELINE = RangingTimeline(chirp_start=0.0, wakeup_time=0.02000003,
                                     capture_duration=0.001)
+
+
+def _record_capture(monkeypatch):
+    """Record each window ``simulate_ranging`` captures, and the span of
+    received samples computed for it."""
+    captured, spans = [], []
+
+    def recording_capture(*args, **kwargs):
+        captured.append(channel_module._capture(*args, **kwargs))
+        return captured[-1]
+
+    def recording_received(tx, ch, fs, lo, hi):
+        spans.append(hi - lo)
+        return received(tx, ch, fs, lo, hi)
+
+    received = channel_module._received
+    monkeypatch.setattr(ranging, "_capture", recording_capture)
+    monkeypatch.setattr(channel_module, "_received", recording_received)
+    return captured, spans
 
 
 @pytest.mark.parametrize("timeline, distance", [
@@ -430,32 +452,20 @@ OFF_GRID_TIMELINE = RangingTimeline(chirp_start=0.0, wakeup_time=0.02000003,
     {"multipath": ECHO, "interpolate_delays": True},
     {"noise_std": 0.05, "rng_seed": 4, "multipath": ECHO,
      "interpolate_delays": True},
+    {"multipath": LATE_ECHO},
 ], ids=["plain", "noise", "echo", "echo-interpolated",
-        "noise-echo-interpolated"])
+        "noise-echo-interpolated", "late-echo"])
 def test_shortened_reference_captures_the_same_window(monkeypatch, timeline,
                                                       distance, channel_kw):
-    captured, propagated = [], []
-
-    def recording_sample_window(*args, **kwargs):
-        captured.append(sample_window(*args, **kwargs))
-        return captured[-1]
-
-    def recording_propagate_acoustic(tx, ch):
-        propagated.append(len(tx))
-        return propagate_acoustic(tx, ch)
-
-    monkeypatch.setattr(ranging, "sample_window", recording_sample_window)
-    monkeypatch.setattr(ranging, "propagate_acoustic",
-                        recording_propagate_acoustic)
+    captured, spans = _record_capture(monkeypatch)
     ch = AcousticChannel(distance=distance, **channel_kw)
     simulate_ranging(CHIRP, ch, timeline, mode="one-bit-backscatter", fsk=FSK)
+    [span] = spans
     full = _captured_full_chirp(CHIRP, ch, timeline, FSK.sample_rate)
     assert captured[0].t_origin == full.t_origin
     assert np.array_equal(captured[0].samples, full.samples)
-    # the chirp is propagated, and noise drawn, only up to the window's end
-    window_end = ((timeline.wakeup_delay - ch.delay) * FSK.sample_rate
-                  + len(full))
-    assert propagated[0] <= window_end + 3
+    # only the samples the window reads are propagated and have noise added
+    assert span <= len(full) + 2
 
 
 # A short chirp, wake-up and capture keep the exhaustive oracle cheap.
@@ -549,19 +559,50 @@ def _default_exchange(cfg):
                             threshold=cfg.comparator_threshold)
 
 
+def _warm_peak(exchange):
+    """The answer of ``exchange()`` and its ``tracemalloc`` peak in bytes,
+    run once first so that the cached reference side is built."""
+    exchange()
+    tracemalloc.start()
+    try:
+        result = exchange()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_warm_default_exchange_peaks_under_6_mb():
     # rescoring every shortlisted lag at once peaked at 12.2 MB, and a scan
     # that allocated its products per block, over the whole propagated
     # reference, at 6.1 MB
     cfg = load_config()
-    _default_exchange(cfg)  # builds the cached reference side
-    tracemalloc.start()
-    try:
-        _default_exchange(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = _warm_peak(lambda: _default_exchange(cfg))
     assert peak < 6e6
+
+
+def test_noisy_exchange_memory_does_not_grow_with_the_wakeup_delay():
+    # propagating and adding noise to the whole chirp head grew it by
+    # 0.06 MB at a 2 ms wake-up and 0.40 MB at 4 ms
+    ch = AcousticChannel(distance=0.0, noise_std=0.05, rng_seed=3)
+    peaks = [_warm_peak(lambda: simulate_ranging(
+        SHORT_CHIRP, ch, dataclasses.replace(SHORT_TIMELINE, wakeup_time=t),
+        mode="one-bit-backscatter", fsk=FSK))[1]
+        for t in (0.0005, 0.002, 0.004)]
+    assert max(peaks) - min(peaks) < 1e5
+
+
+@pytest.mark.parametrize("noise", ["0", "0.02"])
+def test_a_far_echo_costs_no_memory_and_moves_no_bit(noise):
+    # a 0.5 s echo pads the received chirp by 5e6 RF samples, which a
+    # propagation of the whole support allocated (47 MB noiseless); it lands
+    # long after the capture, so the answer is the no-echo one
+    sets = [f"channel.noise_std={noise}"]
+    plain = _default_exchange(load_config(sets=sets))
+    cfg = load_config(sets=[*sets, "channel.multipath=[[0.5, 0.5]]"])
+    echoed, peak = _warm_peak(lambda: _default_exchange(cfg))
+    assert peak < 3e6
+    assert (echoed.lag.hex(), echoed.peak.hex()) == (plain.lag.hex(),
+                                                   plain.peak.hex())
 
 
 # float.hex of one-bit (lag, peak) at GOLDEN_DISTANCES, the channel seeded as
@@ -857,13 +898,7 @@ def test_alternating_chirps_match_a_fresh_process():
 
 @pytest.mark.parametrize("setting", list(IDEAL_GOLDEN))
 def test_xcorr_offset_matches_the_memoized_locator(monkeypatch, setting):
-    captured = []
-
-    def recording_sample_window(*args, **kwargs):
-        captured.append(sample_window(*args, **kwargs))
-        return captured[-1]
-
-    monkeypatch.setattr(ranging, "sample_window", recording_sample_window)
+    captured, _ = _record_capture(monkeypatch)
     cfg = load_config(sets=IDEAL_GOLDEN[setting][0])
     rate = cfg.chirp.sample_rate
     for i, d in enumerate(GOLDEN_DISTANCES):
