@@ -65,6 +65,8 @@ class AcousticChannel:
                 f"attenuation_exponent must be >= 0, got {self.attenuation_exponent}")
         if self.noise_std < 0:
             raise ParameterError(f"noise_std must be >= 0, got {self.noise_std}")
+        if self.rng_seed < 0:
+            raise ParameterError(f"rng_seed must be >= 0, got {self.rng_seed}")
         if not isinstance(self.interpolate_delays, (bool, np.bool_)):
             raise ParameterError("interpolate_delays must be true or false, "
                                  f"got {self.interpolate_delays!r}")
@@ -101,6 +103,11 @@ class ReceiveWindow:
         if not self.sample_rate > 0:
             raise ParameterError(
                 f"sample_rate must be positive, got {self.sample_rate}")
+        count = self.duration * self.sample_rate
+        if not (math.isfinite(count) and round(count) > 0):
+            raise ParameterError(
+                f"duration {self.duration} s holds {count} samples at "
+                f"{self.sample_rate} Hz, not a finite count of at least one")
 
     @property
     def n_samples(self) -> int:
@@ -175,21 +182,21 @@ def sample_window(rx: Waveform, window: ReceiveWindow,
             f"window sample rate ({window.sample_rate}) must match the "
             f"waveform sample rate ({rx.sample_rate})")
     # a zero-length channel passes rx on as it is
-    return _capture(rx.samples, rx.sample_rate, rx.t_origin,
-                    AcousticChannel(0.0), window, interpolate)
+    ch = AcousticChannel(0.0, interpolate_delays=bool(interpolate))
+    return _capture(rx.samples, rx.sample_rate, rx.t_origin, ch, window)
 
 
 def _capture(tx: np.ndarray, fs: float, t_origin: float, ch: AcousticChannel,
-             window: ReceiveWindow, interpolate: bool = False) -> Waveform:
+             window: ReceiveWindow) -> Waveform:
     """``sample_window(propagate_acoustic(Waveform(tx, fs, t_origin), ch),
-    window, interpolate)``, bit for bit, computing only the received samples
-    the window reads: at most its length plus two, however long ``tx`` is
-    or however far a tap lands."""
+    window, ch.interpolate_delays)``, bit for bit, computing only the
+    received samples the window reads: at most its length plus two, however
+    long ``tx`` is or however far a tap lands."""
     n = window.n_samples
     size = tx.size + max(k for k, _ in _terms(ch, fs))
     offset = (window.start_time - (t_origin + ch.delay)) * fs
     out = np.zeros(n)
-    if interpolate:
+    if ch.interpolate_delays:
         pos = offset + np.arange(n)
         inside = (pos >= 0.0) & (pos <= size - 1)
         if inside.any():

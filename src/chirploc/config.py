@@ -162,13 +162,16 @@ def resolve_config(path: str | None = None, sets: list[str] | None = None,
 
 
 def _number(value) -> float:
+    # float(True) is 1.0, but a JSON true is a flag, not a number
+    if isinstance(value, bool):
+        raise ValueError(f"must be a number, got {str(value).lower()}")
     if not math.isfinite(number := float(value)):
         raise ValueError(f"must be a finite number, got {value}")
     return number
 
 
 def _whole(value) -> int:
-    number = value if isinstance(value, int) else _number(value)
+    number = value if type(value) is int else _number(value)
     if number != int(number):
         raise ValueError(f"must be a whole number, got {value}")
     return int(number)
@@ -238,26 +241,23 @@ class ScenarioConfig:
     def from_dict(cls, resolved: dict) -> "ScenarioConfig":
         """A malformed or out-of-range value is a ``ConfigError`` naming its key."""
         rng_seed = _read(resolved, "rng_seed", _whole)
+        if rng_seed < 0:
+            raise ConfigError(f"rng_seed must be >= 0, got {rng_seed}")
         chirp = _spec(resolved, "chirp", ChirpSpec, "f_start_hz", "f_stop_hz",
                       "duration_s", "sample_rate_hz", "amplitude")
         timeline = _spec(resolved, "timeline", RangingTimeline, "chirp_start_s",
                          "wakeup_time_s", "capture_duration_s")
         fsk = _spec(resolved, "fsk", FskConfig, "freq0_hz", "freq1_hz",
                     "sample_rate_hz")
-        # each mode samples the capture at its own rate; an empty capture
-        # has nothing to locate
+        # each mode samples the capture at its own rate
         for key, rate in (("chirp.sample_rate_hz", chirp.sample_rate),
                           ("fsk.sample_rate_hz", fsk.sample_rate)):
-            window = ReceiveWindow(timeline.wakeup_time,
-                                   timeline.capture_duration, rate)
-            if not math.isfinite(window.duration * rate):
+            try:
+                ReceiveWindow(timeline.wakeup_time, timeline.capture_duration,
+                              rate)
+            except ParameterError as exc:
                 raise ConfigError(
-                    f"timeline.capture_duration_s ({timeline.capture_duration})"
-                    f" overflows the sample count at {key} = {rate}")
-            if window.n_samples == 0:
-                raise ConfigError(
-                    f"timeline.capture_duration_s ({timeline.capture_duration})"
-                    f" holds no sample at {key} = {rate}")
+                    f"timeline.capture_duration_s at {key}: {exc}") from exc
         channel = _spec(
             resolved, "channel", AcousticChannel, distance=1.0,
             speed_of_sound=_read(resolved, "channel.speed_of_sound_mps"),

@@ -57,12 +57,13 @@ class ComponentPower:
     count: int = 1
 
     def __post_init__(self):
-        if self.power < 0:
-            raise ParameterError(f"{self.name}: power must be >= 0, got {self.power}")
-        if self.turn_on_time < 0:
+        if not 0 <= self.power < math.inf:
             raise ParameterError(
-                f"{self.name}: turn_on_time must be >= 0, got {self.turn_on_time}"
-            )
+                f"{self.name}: power must be finite and >= 0, got {self.power}")
+        if not 0 <= self.turn_on_time < math.inf:
+            raise ParameterError(
+                f"{self.name}: turn_on_time must be finite and >= 0, got "
+                f"{self.turn_on_time}")
         if self.count < 1:
             raise ParameterError(f"{self.name}: count must be >= 1, got {self.count}")
 
@@ -169,9 +170,10 @@ class HarvesterSpec:
         if len(curve) < 2:
             raise ParameterError("efficiency_curve needs at least two points")
         ps = [p for p, _ in curve]
-        if any(b <= a for a, b in zip(ps, ps[1:])):
-            raise ParameterError("efficiency_curve points must have strictly "
-                                 "increasing input power")
+        if (not all(map(math.isfinite, ps))
+                or any(b <= a for a, b in zip(ps, ps[1:]))):
+            raise ParameterError("efficiency_curve points must have finite, "
+                                 "strictly increasing input power")
         if any(not 0 < e <= 1 for _, e in curve):
             raise ParameterError("efficiency values must be in (0, 1]")
         object.__setattr__(self, "efficiency_curve", curve)

@@ -12,7 +12,6 @@ comparator bits; ``signals`` holds the matched filter that locates it.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,11 +146,9 @@ def simulate_ranging(
     locatable inside the sweep even where its audio-rate sampling would
     alias into a periodic pattern.
 
-    Only the part of the chirp a capture can reach is synthesized: the first
-    ``wakeup_delay + capture_duration`` seconds, plus one sample for an
-    interpolated window edge; the lags searched end one sample past the
-    zero-distance lag.  The received signal is computed over the capture
-    window alone; sample i's noise is still the i-th normal of the
+    Only the part of the chirp a capture can reach is synthesized
+    (``signals._reachable``), and the received signal is computed over the
+    capture window alone; sample i's noise is still the i-th normal of the
     channel's seeded stream, so the window is what the full chirp gives.
     Its memory does not grow with distance, wake-up delay or echo delay,
     but the time to draw the normals before the window still does.
@@ -182,21 +179,13 @@ def simulate_ranging(
     # observable at the RF sampling resolution
     rate = chirp.sample_rate if mode == "ideal-audio" else fsk.sample_rate
     window = ReceiveWindow(timeline.wakeup_time, timeline.capture_duration, rate)
-    if window.n_samples == 0:
-        raise ParameterError(
-            f"capture_duration {timeline.capture_duration} s holds no sample "
-            f"at the {mode} sample rate of {rate} Hz")
-    # a tag at zero distance starts its window round(wakeup_delay * rate)
-    # samples into the chirp, and an interpolated window reads one further
-    reach = round(timeline.wakeup_delay * rate) + window.n_samples + 1
     if mode == "ideal-audio":
-        matched = _audio_reference(chirp, reach, window.n_samples)
+        matched = _audio_reference(chirp, timeline.wakeup_delay, window)
     else:
-        matched = _backscatter_reference(
-            dataclasses.replace(chirp, sample_rate=rate), reach,
-            window.n_samples, fsk, threshold)
+        matched = _backscatter_reference(chirp, timeline.wakeup_delay, window,
+                                         fsk, threshold)
     captured = _capture(matched[0].samples, rate, timeline.chirp_start,
-                        channel, window, channel.interpolate_delays)
+                        channel, window)
 
     if mode == "ideal-audio":
         lag, peak = _locate(*matched[1:], _unit_scale(captured.samples), rate)

@@ -17,7 +17,7 @@ depends only on the config.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -363,24 +363,34 @@ def _locate(x: np.ndarray, ex2: np.ndarray, y: np.ndarray,
     return best_lag / rate, best_peak
 
 
+def _reachable(chirp: ChirpSpec, delay: float, window) -> Waveform:
+    """``chirp`` at the ``ReceiveWindow``'s rate, as far as a capture opening
+    ``delay`` seconds in can read: at zero distance, the window's length on
+    from ``round(delay * rate)``, and one sample further when interpolated."""
+    rate = window.sample_rate
+    return gen_chirp(replace(chirp, sample_rate=rate),
+                     round(delay * rate) + window.n_samples + 1)
+
+
 @lru_cache(maxsize=1)
-def _audio_reference(chirp: ChirpSpec, reach: int, m: int) -> tuple:
-    """The first ``reach`` samples of ``chirp``, their ``_unit_scale`` copy
-    and its ``_window_stats`` for ``m``-sample windows: the ideal-audio
-    locator's beacon side, built once per config.  Only the last config is
-    kept, about 95 KB at the defaults; every array is read-only."""
-    reference = gen_chirp(chirp, reach)
+def _audio_reference(chirp: ChirpSpec, delay: float, window) -> tuple:
+    """The ``_reachable`` part of ``chirp``, its ``_unit_scale`` copy and
+    that copy's ``_window_stats`` for the ``window``'s length: the
+    ideal-audio locator's beacon side, built once per config.  Only the
+    last config is kept, about 95 KB at the defaults; all are read-only."""
+    reference = _reachable(chirp, delay, window)
     x = _readonly(_unit_scale(reference.samples))
-    return reference, x, _readonly(_window_stats(x, m))
+    return reference, x, _readonly(_window_stats(x, window.n_samples))
 
 
 @lru_cache(maxsize=1)
-def _backscatter_reference(chirp: ChirpSpec, reach: int, m: int,
+def _backscatter_reference(chirp: ChirpSpec, delay: float, window,
                            fsk: FskConfig, threshold: float) -> tuple:
     """The beacon side of the one-bit matched filter, built once per config.
 
     Returns ``(reference, cycles, size, step, lags, spectra, rotations,
-    coarse)``: the first ``reach`` samples of ``chirp`` (at the RF rate),
+    coarse)``: the ``_reachable`` samples of ``chirp`` for an ``m``-sample
+    capture ``window`` opening ``delay`` seconds into it (at the RF rate),
     the carrier cycles ``fsk_modulate`` advances per comparator bit of each,
     the block FFT size, the lags between block starts, the number of lags an
     ``m``-sample window can take, and, with ``P`` the modulator's carrier
@@ -395,9 +405,9 @@ def _backscatter_reference(chirp: ChirpSpec, reach: int, m: int,
     defaults; every array is read-only, so no exchange can change what a
     later one reads.
     """
-    reference = gen_chirp(chirp, reach)
+    reference = _reachable(chirp, delay, window)
     ref_bits = one_bit_quantize(reference, threshold)
-    n = len(ref_bits)
+    n, m = len(ref_bits), window.n_samples
     lags = n - m + 1
     phase = _carrier_phase(ref_bits, fsk)
     # a circular correlation over a block of size samples leaves the first

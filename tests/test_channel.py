@@ -1,5 +1,7 @@
 """Acoustic propagation and receive-window extraction."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -117,6 +119,8 @@ def test_delay_equals_distance_over_speed(distance, c):
     # a truthy string or number is not a flag
     dict(distance=1.0, interpolate_delays="no"),
     dict(distance=1.0, interpolate_delays=1),
+    # numpy's generators take no negative seed
+    dict(distance=1.0, rng_seed=-1),
 ])
 def test_channel_rejects_bad_parameters(kwargs):
     with pytest.raises(ParameterError):
@@ -183,6 +187,26 @@ def test_window_rejects_bad_parameters(kwargs, match):
     with pytest.raises(ParameterError, match=match):
         ReceiveWindow(**dict(dict(start_time=0.0, duration=0.001,
                                   sample_rate=192e3), **kwargs))
+
+
+@pytest.mark.parametrize("duration, sample_rate", [
+    (1e-7, 192e3), (4e-8, 1e7), (1e305, 1e7), (math.inf, 192e3)],
+    ids=["audio-empty", "rf-empty", "overflow", "infinite"])
+def test_window_without_a_finite_sample_count_is_rejected(duration,
+                                                          sample_rate):
+    with pytest.raises(ParameterError, match=f"at {sample_rate} Hz"):
+        ReceiveWindow(0.020, duration, sample_rate)
+
+
+@pytest.mark.parametrize("flag, expected", [
+    (1, [2.5, 3.5, 4.5, 5.5]), (np.True_, [2.5, 3.5, 4.5, 5.5]),
+    (0, [2.0, 3.0, 4.0, 5.0]), (None, [2.0, 3.0, 4.0, 5.0])])
+def test_window_takes_any_truth_value_as_its_flag(flag, expected):
+    # unlike AcousticChannel's, sample_window's flag is any truth value
+    ramp = Waveform(np.arange(8.0), 10.0, t_origin=0.0)
+    win = ReceiveWindow(start_time=0.25, duration=0.4, sample_rate=10.0)
+    got = sample_window(ramp, win, interpolate=flag)
+    np.testing.assert_array_equal(got.samples, expected)
 
 
 def test_window_rejects_rate_mismatch():

@@ -674,6 +674,14 @@ def test_result_table_rejects_a_row_of_the_wrong_width():
     ("charge-curve", "link.duty_cycle=2"),
     # finite, but its sample count overflows
     ("size-buffer", "timeline.capture_duration_s=1e305"),
+    # a JSON boolean is a flag, not a number: float(true) would be 1.0
+    ("charge-curve", "capacitance_f=true"),
+    ("size-buffer", "rng_seed=true"),
+    ("charge-curve", "grid.d_step_m=true"),
+    ("sweep", "sweep.n_elements=[true]"),
+    ("range", "channel.multipath=[[0.001, true]]"),
+    # numpy's generators take no negative seed
+    ("range", "rng_seed=-1"),
 ])
 def test_malformed_values_exit_two(capsys, command, assignment):
     code, out, err = run_cli(capsys, command, "--set", assignment)
@@ -694,6 +702,48 @@ def test_malformed_value_errors_name_the_key(capsys, command, assignment,
     code, out, err = run_cli(capsys, command, "--set", assignment)
     assert code == 2
     assert err == f"config error: {message}\n"
+    assert out == ""
+
+
+def test_negative_seed_argument_exits_two(capsys):
+    code, out, err = run_cli(capsys, "range", "--seed", "-5",
+                             "--set", "channel.noise_std=0.02")
+    assert code == 2
+    assert err == "config error: rng_seed must be >= 0, got -5\n"
+    assert out == ""
+
+
+COMPONENT_HEADER = "name,power_w,turn_on_time_s,count\n"
+CURVE_HEADER = "p_in_dbm,efficiency\n"
+
+
+@pytest.mark.parametrize("command, key, text", [
+    ("size-buffer", "components_file", COMPONENT_HEADER + "mic,nan,0.001,1\n"),
+    ("size-buffer", "components_file", COMPONENT_HEADER + "mic,inf,0.001,1\n"),
+    ("size-buffer", "components_file",
+     COMPONENT_HEADER + "mic,0.001,-inf,1\n"),
+    ("size-buffer", "components_file", COMPONENT_HEADER + "mic,0.001,nan,1\n"),
+    ("size-buffer", "components_file", COMPONENT_HEADER + "mic,0.001,0.1,nan\n"),
+    # a NaN input power compares false both ways, so it passes an ordering
+    # check on its own
+    ("charge-curve", "harvester.efficiency_curve_file",
+     CURVE_HEADER + "-20,0.1\nnan,0.2\n0,0.3\n"),
+    ("charge-curve", "harvester.efficiency_curve_file",
+     CURVE_HEADER + "-20,0.1\n0,0.2\ninf,0.3\n"),
+    ("charge-curve", "harvester.efficiency_curve_file",
+     CURVE_HEADER + "-inf,0.1\n0,0.2\n"),
+    ("charge-curve", "harvester.efficiency_curve_file",
+     CURVE_HEADER + "-20,0.1\n0,nan\n"),
+], ids=["power-nan", "power-inf", "turn-on-minus-inf", "turn-on-nan",
+        "count-nan", "curve-power-nan", "curve-power-inf",
+        "curve-power-minus-inf", "curve-efficiency-nan"])
+def test_non_finite_data_file_values_exit_two(tmp_path, capsys, command, key,
+                                              text):
+    path = tmp_path / "data.csv"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, command, "--set", f"{key}={path}")
+    assert code == 2
+    assert err.startswith(f"config error: {key}: ")
     assert out == ""
 
 

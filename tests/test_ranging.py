@@ -36,6 +36,7 @@ from chirploc import (
     trilaterate,
     xcorr_offset,
 )
+from chirploc.cli import cmd_range
 from chirploc.config import load_config
 from chirploc.signals import _carrier_phase, pearson_window
 
@@ -399,6 +400,13 @@ def test_full_pipeline_position_fix():
 
 # ------------------------------------------- backscatter locator vs oracles
 
+def _memo_key(chirp, timeline, rate):
+    """The key ``simulate_ranging`` gives a memo for a capture under
+    ``timeline`` at ``rate``: the chirp, the wake-up delay and the window."""
+    return (chirp, timeline.wakeup_delay,
+            ReceiveWindow(timeline.wakeup_time, timeline.capture_duration, rate))
+
+
 def _captured_full_chirp(chirp, channel, timeline, rate):
     """The capture window cut from the whole chirp, never shortened."""
     spec = dataclasses.replace(chirp, sample_rate=rate)
@@ -528,9 +536,9 @@ def test_backscatter_locator_matches_exhaustive_replica_oracle(
 def test_replicas_match_the_modulator_at_every_lag(short_modulated, m):
     # each exact score is pearson_window's on the modulator's own replica
     rate = FSK.sample_rate
-    reach = round(SHORT_TIMELINE.wakeup_delay * rate) + m + 1
-    spec = dataclasses.replace(SHORT_CHIRP, sample_rate=rate)
-    matched = signals._backscatter_reference(spec, reach, m, FSK, 0.0)
+    timeline = dataclasses.replace(SHORT_TIMELINE, capture_duration=m / rate)
+    matched = signals._backscatter_reference(
+        *_memo_key(SHORT_CHIRP, timeline, rate), FSK, 0.0)
     cycles, lags = matched[1], matched[4]
     replicas = (short_modulated if short_modulated.shape[1] == m
                 else _modulated_replicas(m))
@@ -539,8 +547,7 @@ def test_replicas_match_the_modulator_at_every_lag(short_modulated, m):
     # a noisy reflection, so that no score is a degenerate 0 or 1
     window = _captured_full_chirp(
         SHORT_CHIRP, AcousticChannel(distance=0.05, noise_std=0.3,
-                                     rng_seed=3),
-        dataclasses.replace(SHORT_TIMELINE, capture_duration=m / rate), rate)
+                                     rng_seed=3), timeline, rate)
     rf = fsk_modulate(one_bit_quantize(window), FSK).samples
     rfz = rf - rf.mean()
     ey2 = float(np.dot(rfz, rfz))
@@ -831,8 +838,8 @@ def test_interleaved_configs_match_a_cold_reference():
 
 
 def test_cached_reference_side_is_read_only():
-    spec = dataclasses.replace(SHORT_CHIRP, sample_rate=FSK.sample_rate)
-    key = (spec, 6001, 1000, FSK, 0.0)
+    # a 1000-sample window, a 5000-sample wake-up delay
+    key = (*_memo_key(SHORT_CHIRP, SHORT_TIMELINE, FSK.sample_rate), FSK, 0.0)
     matched = signals._backscatter_reference(*key)
     assert signals._backscatter_reference(*key) is matched
     reference, cycles, size, step, lags, spectra, rotations, coarse = matched
@@ -858,7 +865,7 @@ def test_cached_reference_side_is_read_only():
 
 def test_cached_audio_reference_is_read_only():
     # the default 1 ms capture: 192 samples, a 3840-sample wake-up delay
-    key = (CHIRP, 3840 + 192 + 1, 192)
+    key = _memo_key(CHIRP, TIMELINE, FS)
     memo = signals._audio_reference(*key)
     assert signals._audio_reference(*key) is memo
     reference, x, ex2 = memo
@@ -866,6 +873,18 @@ def test_cached_audio_reference_is_read_only():
     for array in (reference.samples, x, ex2):
         with pytest.raises(ValueError):
             array[0] = 0
+
+
+def test_a_default_range_table_builds_each_memo_once():
+    # a key that picked up a per-row value, such as the channel, would
+    # rebuild the 19 MB one-bit memo on every exchange without any error
+    signals._audio_reference.cache_clear()
+    signals._backscatter_reference.cache_clear()
+    table = cmd_range(load_config())
+    assert len(table.rows) == 12 * len(ranging.MODES)
+    for memo in (signals._audio_reference, signals._backscatter_reference):
+        info = memo.cache_info()
+        assert (info.misses, info.hits) == (1, 11)
 
 
 def _bits_here(mode, sets, distances=GOLDEN_DISTANCES):
@@ -920,11 +939,8 @@ ONE_BLOCK_TIMELINE = dataclasses.replace(SHORT_TIMELINE,
 def _scan_case(timeline):
     """The memo and a noisy centred reflection for a scan test."""
     rate = FSK.sample_rate
-    m = ReceiveWindow(timeline.wakeup_time, timeline.capture_duration,
-                      rate).n_samples
-    reach = round(timeline.wakeup_delay * rate) + m + 1
-    spec = dataclasses.replace(SHORT_CHIRP, sample_rate=rate)
-    matched = signals._backscatter_reference(spec, reach, m, FSK, 0.0)
+    matched = signals._backscatter_reference(
+        *_memo_key(SHORT_CHIRP, timeline, rate), FSK, 0.0)
     ch = AcousticChannel(distance=0.15, noise_std=0.05, rng_seed=7)
     window = _captured_full_chirp(SHORT_CHIRP, ch, timeline, rate)
     rf = fsk_modulate(one_bit_quantize(window), FSK).samples
