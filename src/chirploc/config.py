@@ -162,9 +162,11 @@ def resolve_config(path: str | None = None, sets: list[str] | None = None,
 
 
 def _number(value) -> float:
-    # float(True) is 1.0, but a JSON true is a flag, not a number
-    if isinstance(value, bool):
-        raise ValueError(f"must be a number, got {str(value).lower()}")
+    # float(True) is 1.0 and float("7") 7.0, but a JSON true is a flag and
+    # a JSON "7" a string, not numbers; float() names a word it cannot read
+    if isinstance(value, (bool, str)):
+        float(value)
+        raise ValueError(f"must be a number, got {json.dumps(value)}")
     if not math.isfinite(number := float(value)):
         raise ValueError(f"must be a finite number, got {value}")
     return number

@@ -25,7 +25,6 @@ from .signals import (
     _backscatter_reference,
     _locate,
     _locate_backscatter,
-    _unit_scale,
     fsk_modulate,
     one_bit_quantize,
 )
@@ -188,7 +187,7 @@ def simulate_ranging(
                         channel, window)
 
     if mode == "ideal-audio":
-        lag, peak = _locate(*matched[1:], _unit_scale(captured.samples), rate)
+        lag, peak = _locate(*matched[1:], captured.samples, rate)
     else:
         rf = fsk_modulate(one_bit_quantize(captured, threshold), fsk)
         lag, peak = _locate_backscatter(matched, rf.samples, rate)

@@ -222,21 +222,22 @@ def fsk_modulate(bits: BitStream, cfg: FskConfig) -> Waveform:
     """
     if len(bits) == 0:
         return Waveform(np.zeros(0), cfg.sample_rate, 0.0)
-    samples = _square_wave(_carrier_phase(bits, cfg))
+    samples = 1.0 - 2.0 * _low_half(_carrier_phase(bits, cfg))
     return Waveform(samples, cfg.sample_rate, 0.0)
 
 
-def _square_wave(phase: np.ndarray) -> np.ndarray:
-    """The +/-1 carrier at ``phase`` cycles: +1 where floor(2 phase) is even.
+def _low_half(phase: np.ndarray) -> np.ndarray:
+    """1 where the +/-1 carrier at ``phase`` cycles is low (floor(2 phase)
+    is odd), else 0: the sign rule of the modulator and of exact rescoring.
 
     The sample is high during the first half of each carrier cycle, and the
     half-open rule keeps the sign deterministic even when a cycle boundary
     lands exactly on a sample, which happens whenever the tone divides the
     sample rate.  For 0 <= phase < 2**62 this is exactly
-    ``np.mod(phase, 1) < 0.5``: doubling is exact and truncation is the
+    ``np.mod(phase, 1) >= 0.5``: doubling is exact and truncation is the
     floor, so no ``np.mod`` is needed.
     """
-    return 1.0 - 2.0 * ((2.0 * phase).astype(np.int64) & 1)
+    return (2.0 * phase).astype(np.int64) & 1
 
 
 def _carrier_phase(bits: BitStream, cfg: FskConfig) -> np.ndarray:
@@ -267,8 +268,8 @@ def fft_size(n: int) -> int:
 def pearson_window(x: np.ndarray, k: int, yz: np.ndarray, ey2: float) -> float:
     """Exact Pearson correlation of x[k:k+m] against a pre-centred segment.
 
-    ``yz`` is the segment as ``_centre`` gives it and ``ey2`` its energy, so
-    a caller scoring one segment at many lags centres it once.
+    ``yz`` and ``ey2`` are the segment and its energy as ``_centred`` gives
+    them, so a caller scoring one segment at many lags centres it once.
     """
     return _centred_pearson(_centre(x[k:k + yz.size]), yz, ey2)
 
@@ -280,6 +281,20 @@ def _centre(v: np.ndarray) -> np.ndarray:
     if v[0] == v[-1] and (v == v[0]).all():
         return np.zeros(v.size)
     return v - v.mean()
+
+
+def _centred(v: np.ndarray) -> tuple[np.ndarray, float]:
+    """``_centre(v)`` and its energy, as every locator scores a segment."""
+    vz = _centre(v)
+    return vz, float(np.dot(vz, vz))
+
+
+def _first_max(lags: np.ndarray, scores: np.ndarray,
+               rate: float) -> tuple[float, float]:
+    """The first of the ascending ``lags``, in seconds at ``rate``, with the
+    highest exact score, and that score: ties go to the smallest lag."""
+    best = int(np.argmax(scores))
+    return int(lags[best]) / rate, float(scores[best])
 
 
 def _centred_pearson(xz: np.ndarray, yz: np.ndarray, ey2: float) -> float:
@@ -341,10 +356,9 @@ def _sliding_pearson(x: np.ndarray, ex2: np.ndarray, yz: np.ndarray,
 
 
 def _locate(x: np.ndarray, ex2: np.ndarray, y: np.ndarray,
-            rate: float) -> tuple:
-    """``xcorr_offset`` of unit-scaled x and y, given x's window energies."""
-    yz = _centre(y)
-    ey2 = float(np.dot(yz, yz))
+            rate: float) -> tuple[float, float]:
+    """``xcorr_offset`` of the unit-scaled x, given its window energies, and y."""
+    yz, ey2 = _centred(_unit_scale(y))
     corr = _sliding_pearson(x, ex2, yz, ey2)
 
     # The scan locates the neighbourhood of the maximum; every lag within scan
@@ -355,12 +369,9 @@ def _locate(x: np.ndarray, ex2: np.ndarray, y: np.ndarray,
         # a plateau this wide is exact ties (periodic or degenerate windows);
         # the smallest lags plus the scan argmax cover every possible winner
         candidates = np.union1d(candidates[:4096], [int(np.argmax(corr))])
-    best_lag, best_peak = 0, -np.inf
-    for k in candidates:
-        peak = pearson_window(x, int(k), yz, ey2)
-        if peak > best_peak:
-            best_peak, best_lag = peak, int(k)
-    return best_lag / rate, best_peak
+    scores = np.fromiter((pearson_window(x, k, yz, ey2) for k in candidates),
+                         float, candidates.size)
+    return _first_max(candidates, scores, rate)
 
 
 def _reachable(chirp: ChirpSpec, delay: float, window) -> Waveform:
@@ -456,9 +467,7 @@ def _coarse_blocks(matched: tuple, rf: np.ndarray) -> range:
     # the bin at each end is dropped
     edges = np.arange(_coarse_bins(rf.size) + 3) * COARSE_BIN
     phase = np.interp(edges, flips, np.arange(flips.size) / 2)
-    advance = np.diff(phase)[1:-1]
-    advance -= advance.mean()
-    scores = _sliding_pearson(*coarse, advance, float(np.dot(advance, advance)))
+    scores = _sliding_pearson(*coarse, *_centred(np.diff(phase)[1:-1]))
     best = int(np.argmax(scores))
     reach = COARSE_REACH // COARSE_BIN
     far = np.concatenate((scores[:max(best - reach, 0)],
@@ -534,11 +543,10 @@ def _locate_backscatter(matched: tuple, rf: np.ndarray,
     the smallest lag.  CHANGES.md records how the pruned answers compare
     with the all-blocks scan's.
     """
-    rfz = rf - rf.mean()
+    rfz, ey2 = _centred(rf)
     shortlist, _ = _scan(matched, rfz, _coarse_blocks(matched, rf))
-    exact = _exact_scores(matched[1], shortlist, rfz, float(np.dot(rfz, rfz)))
-    best = int(np.argmax(exact))  # the first maximum: the smallest lag
-    return int(shortlist[best]) / rate, float(exact[best])
+    exact = _exact_scores(matched[1], shortlist, rfz, ey2)
+    return _first_max(shortlist, exact, rate)
 
 
 def _exact_scores(cycles: np.ndarray, lags: np.ndarray, yz: np.ndarray,
@@ -547,7 +555,7 @@ def _exact_scores(cycles: np.ndarray, lags: np.ndarray, yz: np.ndarray,
     ``m = yz.size`` reference bits from each lag k on against the centred
     ``yz`` of energy ``ey2``.  Bits are samples at the RF rate, so the
     replica's phase is the running sum of ``cycles[k:k + m - 1]`` from 0,
-    and it is +1 where ``floor(2 phase)`` is even (``_square_wave``); its
+    and it is +1 where ``floor(2 phase)`` is even (``_low_half``); its
     samples sum to an integer, so its count of low ones gives its mean
     exactly."""
     m = yz.size
@@ -555,7 +563,7 @@ def _exact_scores(cycles: np.ndarray, lags: np.ndarray, yz: np.ndarray,
     scores = np.empty(len(lags))
     for i, k in enumerate(lags):
         np.cumsum(cycles[k:k + m - 1], out=phase[1:])
-        low = (2.0 * phase).astype(np.int64) & 1
+        low = _low_half(phase)
         mean = (m - 2 * int(np.count_nonzero(low))) / m
         xz = np.array((1.0 - mean, -1.0 - mean))[low]
         scores[i] = _centred_pearson(xz, yz, ey2)
@@ -600,4 +608,4 @@ def xcorr_offset(reference: Waveform, segment: Waveform) -> tuple[float, float]:
     # every term of a score scales by an exact power of two, and the
     # exponents ``_centred_pearson`` splits off shift by even amounts
     x = _unit_scale(x)
-    return _locate(x, _window_stats(x, m), _unit_scale(y), rate_x)
+    return _locate(x, _window_stats(x, m), y, rate_x)

@@ -680,6 +680,12 @@ def test_result_table_rejects_a_row_of_the_wrong_width():
     ("charge-curve", "grid.d_step_m=true"),
     ("sweep", "sweep.n_elements=[true]"),
     ("range", "channel.multipath=[[0.001, true]]"),
+    # a JSON string is not a number, even one float() reads: float("7")
+    # would be 7.0, and a bare word that is not JSON, such as .5, is a string
+    ("size-buffer", 'capacitance_f="6.8e-5"'),
+    ("size-buffer", 'rng_seed="7"'),
+    ("size-buffer", "capacitance_f=.5"),
+    ("sweep", 'sweep.n_elements=["4"]'),
     # numpy's generators take no negative seed
     ("range", "rng_seed=-1"),
 ])
@@ -862,6 +868,15 @@ def test_unknown_set_key_exits_two(capsys):
     code, _, err = run_cli(capsys, "charge-curve", "--set", "warp=9")
     assert code == 2
     assert "config error:" in err
+
+
+def test_string_number_in_a_config_file_exits_two(tmp_path, capsys):
+    path = tmp_path / "strings.json"
+    path.write_text('{"capacitance_f": "6.8e-5"}')
+    code, out, err = run_cli(capsys, "size-buffer", "--config", str(path))
+    assert code == 2
+    assert err == 'config error: capacitance_f: must be a number, got "6.8e-5"\n'
+    assert out == ""
 
 
 def test_bad_config_file_exits_two(tmp_path, capsys):

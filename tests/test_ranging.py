@@ -549,8 +549,7 @@ def test_replicas_match_the_modulator_at_every_lag(short_modulated, m):
         SHORT_CHIRP, AcousticChannel(distance=0.05, noise_std=0.3,
                                      rng_seed=3), timeline, rate)
     rf = fsk_modulate(one_bit_quantize(window), FSK).samples
-    rfz = rf - rf.mean()
-    ey2 = float(np.dot(rfz, rfz))
+    rfz, ey2 = signals._centred(rf)
     expected = np.array([pearson_window(replica, 0, rfz, ey2)
                          for replica in replicas])
     got = signals._exact_scores(cycles, np.arange(lags), rfz, ey2)
