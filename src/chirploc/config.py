@@ -1,10 +1,11 @@
 """Scenario configuration: JSON in, validated typed objects out.
 
 Every parameter has a default, so an empty config file (or none at all)
-reproduces the reference deployment scenario.  User files are deep-merged
-over the defaults; unknown keys are rejected with the offending dotted
-path.  The resolved configuration (with any referenced data files inlined)
-is hashed so result tables can state exactly what produced them.
+reproduces the reference deployment scenario.  A user file, then each
+``--set``, is merged key by key into one copy of the defaults; unknown keys
+are rejected with the offending dotted path.  The resolved configuration
+(with any referenced data files inlined) is hashed so result tables can
+state exactly what produced them.
 """
 
 from __future__ import annotations
@@ -31,10 +32,15 @@ from .energy import (
 )
 from .errors import ConfigError, ParameterError
 from .ranging import RangingTimeline
-from .signals import ChirpSpec, FskConfig
+from .signals import ChirpSpec, FskConfig, _reach
 from .wpt import ArraySpec, RfLink, inclusive_grid
 
 __all__ = ["DEFAULT_CONFIG", "ScenarioConfig", "load_config", "resolve_config"]
+
+# The most chirp samples a capture may reach at either rate.  The one-bit
+# reference memo keeps about 92 bytes per sample, so 2,000,000 is some
+# 185 MB; a config that reaches further is refused before any is built.
+REFERENCE_SAMPLES_MAX = 2_000_000
 
 DEFAULT_CONFIG: dict[str, Any] = {
     "rng_seed": 0,
@@ -106,22 +112,22 @@ DEFAULT_CONFIG: dict[str, Any] = {
 }
 
 
-def _merge(base: dict, override: dict, path: str = "") -> dict:
-    out = copy.deepcopy(base)
+def _merge(out: dict, override: dict, path: str = "") -> None:
+    """Merge ``override`` into ``out`` in place: its values are placed in
+    ``out``, and its own objects are never entered, so never changed."""
     for key, value in override.items():
         dotted = f"{path}{key}"
-        if key not in base:
+        if key not in out:
             raise ConfigError(f"unknown config key '{dotted}'")
-        if isinstance(base[key], dict):
+        if isinstance(out[key], dict):
             if not isinstance(value, dict):
                 raise ConfigError(
                     f"config key '{dotted}' must be an object; set its fields")
-            out[key] = _merge(base[key], value, f"{dotted}.")
+            _merge(out[key], value, f"{dotted}.")
         elif isinstance(value, dict):
             raise ConfigError(f"config key '{dotted}' takes a value, not an object")
         else:
             out[key] = value
-    return out
 
 
 def _set_override(assignment: str) -> dict:
@@ -153,9 +159,10 @@ def resolve_config(path: str | None = None, sets: list[str] | None = None,
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(user, dict):
             raise ConfigError("config file must contain a JSON object")
-    resolved = _merge(DEFAULT_CONFIG, user)
+    resolved = copy.deepcopy(DEFAULT_CONFIG)
+    _merge(resolved, user)
     for assignment in sets or []:
-        resolved = _merge(resolved, _set_override(assignment))
+        _merge(resolved, _set_override(assignment))
     if seed is not None:
         resolved["rng_seed"] = int(seed)
     return resolved
@@ -255,11 +262,17 @@ class ScenarioConfig:
         for key, rate in (("chirp.sample_rate_hz", chirp.sample_rate),
                           ("fsk.sample_rate_hz", fsk.sample_rate)):
             try:
-                ReceiveWindow(timeline.wakeup_time, timeline.capture_duration,
-                              rate)
+                window = ReceiveWindow(timeline.wakeup_time,
+                                       timeline.capture_duration, rate)
             except ParameterError as exc:
                 raise ConfigError(
                     f"timeline.capture_duration_s at {key}: {exc}") from exc
+            reach = _reach(chirp, timeline.wakeup_delay, window)
+            if reach > REFERENCE_SAMPLES_MAX:
+                raise ConfigError(
+                    f"{key}, timeline.chirp_start_s, timeline.wakeup_time_s "
+                    f"and timeline.capture_duration_s: a capture reaches {reach} "
+                    f"chirp samples, more than {REFERENCE_SAMPLES_MAX}")
         channel = _spec(
             resolved, "channel", AcousticChannel, distance=1.0,
             speed_of_sound=_read(resolved, "channel.speed_of_sound_mps"),
@@ -354,14 +367,11 @@ class ScenarioConfig:
 def _hash_config(resolved: dict, components: tuple[ComponentPower, ...],
                  harvester: HarvesterSpec) -> str:
     # Inline loaded data files so the hash pins the effective inputs, not
-    # just the file names.
-    canon = copy.deepcopy(resolved)
-    canon["components_file"] = [
-        [c.name, c.power, c.turn_on_time, c.count] for c in components
-    ]
-    canon["harvester"]["efficiency_curve_file"] = [
-        list(p) for p in harvester.efficiency_curve
-    ]
+    # just the file names; json.dumps only reads, so shallow copies suffice.
+    canon = dict(resolved, components_file=[
+        [c.name, c.power, c.turn_on_time, c.count] for c in components])
+    canon["harvester"] = dict(resolved["harvester"], efficiency_curve_file=[
+        list(p) for p in harvester.efficiency_curve])
     blob = json.dumps(canon, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 

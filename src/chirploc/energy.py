@@ -134,7 +134,8 @@ class HarvesterSpec:
     The efficiency curve is piecewise linear in input power (dBm); outside
     [p_in_min, p_in_max] the harvester produces nothing.  ``eta_antenna``
     scales the input power before the curve, ``eta_storage`` scales the
-    output after it (both default to lossless).
+    output after it (both default to lossless).  The curve's two columns
+    are also kept, read-only, as the arrays ``harvester_output`` reads.
     """
 
     v_chrdy: float = 2.30
@@ -177,6 +178,9 @@ class HarvesterSpec:
         if any(not 0 < e <= 1 for _, e in curve):
             raise ParameterError("efficiency values must be in (0, 1]")
         object.__setattr__(self, "efficiency_curve", curve)
+        columns = np.array(curve).T.copy()
+        columns.setflags(write=False)
+        object.__setattr__(self, "_columns", columns)
 
 
 def buffer_energy(capacitance: float, v_high: float, v_low: float) -> float:
@@ -233,7 +237,7 @@ def harvester_output(p_in_dbm, harvester: HarvesterSpec):
     p_eff = p_eff[inside]
     p_watts = [10.0 ** x for x in ((p_eff - 30.0) / 10.0).tolist()]
     powers[inside] = (harvester.eta_storage
-                      * np.interp(p_eff, *np.array(harvester.efficiency_curve).T)
+                      * np.interp(p_eff, *harvester._columns)
                       * p_watts)
     return powers if powers.ndim else float(powers)
 

@@ -374,13 +374,22 @@ def _locate(x: np.ndarray, ex2: np.ndarray, y: np.ndarray,
     return _first_max(candidates, scores, rate)
 
 
-def _reachable(chirp: ChirpSpec, delay: float, window) -> Waveform:
-    """``chirp`` at the ``ReceiveWindow``'s rate, as far as a capture opening
-    ``delay`` seconds in can read: at zero distance, the window's length on
-    from ``round(delay * rate)``, and one sample further when interpolated."""
+def _reach(chirp: ChirpSpec, delay: float, window) -> int | float:
+    """How many samples of ``chirp``, at the ``ReceiveWindow``'s rate, a
+    capture opening ``delay`` seconds in can read: at zero distance, the
+    window's length on from ``round(delay * rate)``, and one sample further
+    when interpolated, but no more than the whole chirp holds.  A count past
+    a float's range stays ``inf``, so the reach is finite if either is."""
     rate = window.sample_rate
-    return gen_chirp(replace(chirp, sample_rate=rate),
-                     round(delay * rate) + window.n_samples + 1)
+    whole, opening = (round(count) if count < math.inf else count
+                      for count in (chirp.duration * rate, delay * rate))
+    return min(whole, opening + window.n_samples + 1)
+
+
+def _reachable(chirp: ChirpSpec, delay: float, window) -> Waveform:
+    """The ``_reach`` of ``chirp`` at the ``ReceiveWindow``'s rate."""
+    return gen_chirp(replace(chirp, sample_rate=window.sample_rate),
+                     _reach(chirp, delay, window))
 
 
 @lru_cache(maxsize=1)

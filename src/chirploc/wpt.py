@@ -163,19 +163,23 @@ def array_factor(array: ArraySpec, target_angle: float) -> float:
     offset sin(target) - sin(steer) and normalized so that a perfectly
     steered array gains a factor n_elements over one element.
     """
+    return _gains(array, [array.steer_angle], target_angle)[0]
+
+
+def _gains(array: ArraySpec, steers: list[float], target_angle: float) -> list[float]:
+    """``array_factor`` of ``array`` steered to each of ``steers``: one numpy
+    phasor sum, then each steer's magnitude and ``log10`` on Python's floats
+    and ``math``, as numpy's vector loops differ in the last bit of some."""
     if not -90.0 <= target_angle <= 90.0:
         raise ParameterError(
             f"target_angle must be in [-90, 90], got {target_angle}"
         )
-    n = array.n_elements
-    delta = math.sin(math.radians(target_angle)) - math.sin(
-        math.radians(array.steer_angle))
-    psi = 2.0 * math.pi * array.spacing * delta
-    phasor = np.exp(1j * psi * np.arange(n)).sum()
-    power_ratio = abs(phasor) ** 2 / n
-    if power_ratio <= 0.0:
-        return -math.inf
-    return array.element_gain + 10.0 * math.log10(power_ratio)
+    n, target = array.n_elements, math.sin(math.radians(target_angle))
+    psi = np.array([2.0 * math.pi * array.spacing
+                    * (target - math.sin(math.radians(steer))) for steer in steers])
+    phasors = np.exp(1j * psi[:, None] * np.arange(n)).sum(axis=1).tolist()
+    return [-math.inf if (ratio := abs(p) ** 2 / n) <= 0.0
+            else array.element_gain + 10.0 * math.log10(ratio) for p in phasors]
 
 
 # The most points one distance or steer grid may hold: a 1 cm grid over
@@ -231,10 +235,7 @@ def beam_sweep_precharge(
     target = buffer_energy(capacitance, harvester.v_chrdy, 0.0)
     path = _path_loss_db(link)
 
-    gains = np.array([
-        array_factor(ArraySpec(array.n_elements, array.spacing,
-                               array.element_gain, steer), tag_angle)
-        for steer in angles.tolist()])
+    gains = np.array(_gains(array, angles.tolist(), tag_angle))
     p_in = link.p_t + gains + link.g_r - path
     lit = np.isfinite(p_in)
     powers = np.zeros(angles.size)

@@ -12,10 +12,12 @@ import numpy as np
 import pytest
 
 from chirploc import (AcousticChannel, ArraySpec, FskConfig, HarvesterSpec,
-                      RangingTimeline, RfLink, StartupPlan)
+                      RangingTimeline, ReceiveWindow, RfLink, StartupPlan)
 from chirploc.cli import COMMANDS, main
-from chirploc.config import DEFAULT_CONFIG, load_config, resolve_config
+from chirploc.config import (DEFAULT_CONFIG, REFERENCE_SAMPLES_MAX, load_config,
+                             resolve_config)
 from chirploc.errors import ConfigError
+from chirploc.signals import _reach, _reachable
 from chirploc.tables import ResultTable
 
 
@@ -175,10 +177,49 @@ def test_resolve_config_rejects_bad_files(tmp_path):
         resolve_config(str(array))
 
 
-def test_default_config_is_not_mutated_by_merging():
+def test_default_config_is_not_mutated_by_merging(tmp_path, monkeypatch):
     before = json.dumps(DEFAULT_CONFIG, sort_keys=True)
     load_config(sets=["channel.noise_std=0.5", "rng_seed=12"])
     assert json.dumps(DEFAULT_CONFIG, sort_keys=True) == before
+
+    # merging is in place into one copy of the defaults per load: two loads
+    # of one file with different --sets share nothing, and neither changes
+    # the parsed file or the defaults
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"channel": {"multipath": [[0.001, 0.5]]},
+                                "sweep": {"n_elements": [2, 3]}}))
+    parsed = []
+    real_load = json.load
+    monkeypatch.setattr(json, "load",
+                        lambda fh: parsed.append(real_load(fh)) or parsed[-1])
+    a = resolve_config(str(path), ["channel.noise_std=0.1", "sweep.n_elements=[5]"])
+    b = resolve_config(str(path), ["channel.multipath=[]", "rng_seed=3"])
+    monkeypatch.undo()
+    assert parsed == [json.loads(path.read_text())] * 2
+    assert a["channel"] == dict(DEFAULT_CONFIG["channel"], noise_std=0.1,
+                                multipath=[[0.001, 0.5]])
+    assert b["channel"] == dict(DEFAULT_CONFIG["channel"], multipath=[])
+    assert (a["sweep"]["n_elements"], b["sweep"]["n_elements"]) == ([5], [2, 3])
+    assert (a["rng_seed"], b["rng_seed"]) == (0, 3)
+    for group, value in a.items():
+        if isinstance(value, (dict, list)):
+            assert value is not b[group] and value is not DEFAULT_CONFIG[group]
+    assert json.dumps(DEFAULT_CONFIG, sort_keys=True) == before
+
+    # hashing inlines the data files into its own copy, not into cfg.resolved
+    data = resources.files("chirploc.data")
+    files = {}
+    for name in ("tag_components.csv", "harvester_efficiency.csv"):
+        files[name] = str(tmp_path / name)
+        (tmp_path / name).write_text(data.joinpath(name).read_text())
+    sets = [f"components_file={files['tag_components.csv']}",
+            f"harvester.efficiency_curve_file={files['harvester_efficiency.csv']}"]
+    cfg = load_config(str(path), sets)
+    assert cfg.resolved["components_file"] == files["tag_components.csv"]
+    assert (cfg.resolved["harvester"]["efficiency_curve_file"]
+            == files["harvester_efficiency.csv"])
+    assert cfg.resolved == resolve_config(str(path), sets)
+    assert cfg.config_hash == load_config(str(path)).config_hash
 
 
 # -------------------------------------------------------------- size-buffer
@@ -820,6 +861,58 @@ def test_capture_without_a_sample_is_rejected_at_load(capsys, sets, rate_key):
     assert err.startswith("config error: timeline.capture_duration_s")
     assert rate_key in err
     assert out == ""
+
+
+@pytest.mark.parametrize("sets, rate_key", [
+    # 2.1e8 samples at the RF rate: a memo of some 19 GB
+    (["fsk.sample_rate_hz=1e10"], "fsk.sample_rate_hz"),
+    # a long chirp and a late, long capture at the audio rate
+    (["chirp.duration_s=1e4", "timeline.wakeup_time_s=9000"],
+     "chirp.sample_rate_hz"),
+    # counts past a float's range at both rates
+    (["timeline.wakeup_time_s=1e305", "chirp.duration_s=1e305"],
+     "chirp.sample_rate_hz"),
+], ids=["rf-rate", "audio-rate", "overflow"])
+def test_reference_past_its_limit_is_rejected_before_allocating(capsys, sets,
+                                                                rate_key):
+    args = [arg for assignment in sets for arg in ("--set", assignment)]
+    main(["size-buffer"])  # argparse and the config data are loaded
+    capsys.readouterr()
+    tracemalloc.start()
+    started = time.perf_counter()
+    try:
+        code, out, err = run_cli(capsys, "range", *args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - started < 1.0
+    assert peak < 1e6
+    assert code == 2 and out == ""
+    assert err.startswith(f"config error: {rate_key}, timeline.chirp_start_s, "
+                          "timeline.wakeup_time_s and timeline.capture_duration_s")
+    assert "more than 2000000" in err
+
+
+def test_reference_limit_counts_what_the_memo_builds():
+    cfg = load_config()
+    window = ReceiveWindow(0.02, 0.001, cfg.fsk.sample_rate)
+    assert _reachable(cfg.chirp, 0.02, window).samples.size == _reach(
+        cfg.chirp, 0.02, window) == 210_001
+    # the reach is the window's length on from the wake-up sample, plus one,
+    # at 10 MHz: 200,000 + 1,799,999 + 1 is the limit itself
+    long_chirp = ["chirp.duration_s=1.0"]
+    cfg = load_config(sets=[*long_chirp, "timeline.capture_duration_s=0.1799999"])
+    assert _reach(cfg.chirp, cfg.timeline.wakeup_delay, ReceiveWindow(
+        0.02, 0.1799999, cfg.fsk.sample_rate)) == REFERENCE_SAMPLES_MAX
+    with pytest.raises(ConfigError, match="reaches 2000001 chirp samples"):
+        load_config(sets=[*long_chirp, "timeline.capture_duration_s=0.18"])
+    # a chirp whose count at 10 MHz is past a float's range is no limit: the
+    # window reaches only its 210,001 samples, so the config loads
+    cfg = load_config(sets=["chirp.duration_s=1e305"])
+    assert _reach(cfg.chirp, cfg.timeline.wakeup_delay, ReceiveWindow(
+        0.02, 0.001, cfg.fsk.sample_rate)) == 210_001
+    # every capture a test or script uses stays inside: 36 ms at 10 MHz
+    load_config(sets=["timeline.capture_duration_s=0.036"])
 
 
 @pytest.mark.parametrize("command, assignment, code, message", [

@@ -25,7 +25,7 @@ from chirploc import (
     update_rate,
 )
 from chirploc.cli import main
-from chirploc.wpt import inclusive_grid
+from chirploc.wpt import _gains, inclusive_grid
 from chirploc.config import load_config
 
 HARVESTER = HarvesterSpec()
@@ -186,6 +186,58 @@ def test_array_factor_matches_phasor_sum(n, spacing, steer, target):
 def test_array_factor_rejects_bad_target():
     with pytest.raises(ParameterError):
         array_factor(ArraySpec(4), 91.0)
+
+
+def per_steer_array_factor(array: ArraySpec, target_angle: float) -> float:
+    """Oracle: the gain of one steer as ``array_factor`` computed it before
+    the sweep priced its steers in one pass, numpy scalars and all."""
+    n = array.n_elements
+    delta = math.sin(math.radians(target_angle)) - math.sin(
+        math.radians(array.steer_angle))
+    psi = 2.0 * math.pi * array.spacing * delta
+    phasor = np.exp(1j * psi * np.arange(n)).sum()
+    power_ratio = abs(phasor) ** 2 / n
+    if power_ratio <= 0.0:
+        return -math.inf
+    return array.element_gain + 10.0 * math.log10(power_ratio)
+
+
+@pytest.mark.parametrize("element_gain", [0.0, 2.15])
+@pytest.mark.parametrize("spacing", [0.25, 0.5, 1.0])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 16])
+def test_gain_pass_matches_the_per_steer_oracle_bit_for_bit(n, spacing,
+                                                            element_gain):
+    array = ArraySpec(n, spacing, element_gain)
+    for step in (7.0, 10.0, 13.0, 100.0, 180.0):
+        steers = inclusive_grid(-90.0, 90.0, step).tolist()
+        for tag in (-90.0, 0.0, 25.0, 90.0):
+            want = [per_steer_array_factor(
+                ArraySpec(n, spacing, element_gain, steer), tag).hex()
+                for steer in steers]
+            assert [g.hex() for g in _gains(array, steers, tag)] == want
+            assert [array_factor(ArraySpec(n, spacing, element_gain, steer),
+                                 tag).hex() for steer in steers] == want
+
+
+def test_gain_pass_keeps_the_oracle_at_a_null_and_past_float_range():
+    # a half-wave pair steered broadside nulls at endfire: its phasor sum is
+    # rounding alone, about -321 dB down
+    null = ArraySpec(2, 0.5, 0.0)
+    assert _gains(null, [0.0], 90.0) == [
+        per_steer_array_factor(ArraySpec(2, 0.5, 0.0, 0.0), 90.0)]
+    assert _gains(null, [0.0], 90.0)[0] < -300.0
+    # no finite phase sums to exactly zero, so a zero ratio is forced here:
+    # the element phasors cancel and the gain is -inf, not a log10 error
+    cancelled = np.array([1.0 + 0.0j, -1.0 + 0.0j])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np, "exp", lambda _: cancelled[None, :])
+        assert _gains(null, [0.0], 90.0) == [-math.inf]
+    # a phase past a float's range is nan in both, not -inf
+    huge = ArraySpec(4, 1e307, 0.0, -90.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _gains(huge, [-90.0], 90.0)[0]
+        want = per_steer_array_factor(huge, 90.0)
+    assert math.isnan(got) and math.isnan(want)
 
 
 @pytest.mark.parametrize("kwargs", [
