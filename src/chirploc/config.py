@@ -32,15 +32,11 @@ from .energy import (
 )
 from .errors import ConfigError, ParameterError
 from .ranging import RangingTimeline
-from .signals import ChirpSpec, FskConfig, _reach
+# REFERENCE_SAMPLES_MAX, the limit _reach enforces, stays importable here
+from .signals import REFERENCE_SAMPLES_MAX, ChirpSpec, FskConfig, _reach  # noqa: F401
 from .wpt import ArraySpec, RfLink, inclusive_grid
 
 __all__ = ["DEFAULT_CONFIG", "ScenarioConfig", "load_config", "resolve_config"]
-
-# The most chirp samples a capture may reach at either rate.  The one-bit
-# reference memo keeps about 92 bytes per sample, so 2,000,000 is some
-# 185 MB; a config that reaches further is refused before any is built.
-REFERENCE_SAMPLES_MAX = 2_000_000
 
 DEFAULT_CONFIG: dict[str, Any] = {
     "rng_seed": 0,
@@ -267,12 +263,12 @@ class ScenarioConfig:
             except ParameterError as exc:
                 raise ConfigError(
                     f"timeline.capture_duration_s at {key}: {exc}") from exc
-            reach = _reach(chirp, timeline.wakeup_delay, window)
-            if reach > REFERENCE_SAMPLES_MAX:
+            try:
+                _reach(chirp, timeline.wakeup_delay, window)
+            except ParameterError as exc:
                 raise ConfigError(
                     f"{key}, timeline.chirp_start_s, timeline.wakeup_time_s "
-                    f"and timeline.capture_duration_s: a capture reaches {reach} "
-                    f"chirp samples, more than {REFERENCE_SAMPLES_MAX}")
+                    f"and timeline.capture_duration_s: {exc}") from exc
         channel = _spec(
             resolved, "channel", AcousticChannel, distance=1.0,
             speed_of_sound=_read(resolved, "channel.speed_of_sound_mps"),

@@ -88,8 +88,13 @@ class ChirpSpec:
             raise ParameterError(f"amplitude must be positive, got {self.amplitude}")
 
     @property
-    def n_samples(self) -> int:
-        return int(round(self.duration * self.sample_rate))
+    def n_samples(self) -> int | float:
+        return _count(self.duration * self.sample_rate)
+
+
+def _count(samples: float) -> int | float:
+    """``round(samples)``, or ``inf`` for a count past a float's range."""
+    return round(samples) if samples < math.inf else samples
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -181,13 +186,17 @@ def gen_chirp(spec: ChirpSpec, n_samples: int | None = None) -> Waveform:
     the first ``n_samples`` of them; the sweep rate always follows the full
     duration, so a shortened chirp is an exact prefix of the full one.  The
     instantaneous frequency sweeps linearly from f_start to f_stop over the
-    duration; a zero-bandwidth spec yields a pure tone.
+    duration; a zero-bandwidth spec yields a pure tone.  A full chirp whose
+    count is past a float's range is a ``ParameterError``.
     """
     n = spec.n_samples
     if n_samples is not None:
         if n_samples < 0:
             raise ParameterError(f"n_samples must be >= 0, got {n_samples}")
         n = min(n, n_samples)
+    if n == math.inf:
+        raise ParameterError(f"a {spec.duration} s chirp at {spec.sample_rate} "
+                             "Hz holds more samples than a float can count")
     t = np.arange(n) / spec.sample_rate
     rate = (spec.f_stop - spec.f_start) / spec.duration
     phase = 2.0 * np.pi * (spec.f_start * t + 0.5 * rate * t * t)
@@ -374,16 +383,26 @@ def _locate(x: np.ndarray, ex2: np.ndarray, y: np.ndarray,
     return _first_max(candidates, scores, rate)
 
 
-def _reach(chirp: ChirpSpec, delay: float, window) -> int | float:
+# The most chirp samples a capture may reach at either rate.  The one-bit
+# reference memo keeps about 92 bytes per sample, so 2,000,000 is some
+# 185 MB; a capture that reaches further is refused before any is built.
+REFERENCE_SAMPLES_MAX = 2_000_000
+
+
+def _reach(chirp: ChirpSpec, delay: float, window) -> int:
     """How many samples of ``chirp``, at the ``ReceiveWindow``'s rate, a
     capture opening ``delay`` seconds in can read: at zero distance, the
     window's length on from ``round(delay * rate)``, and one sample further
     when interpolated, but no more than the whole chirp holds.  A count past
-    a float's range stays ``inf``, so the reach is finite if either is."""
+    a float's range is ``inf``, so the reach is finite if either is.  A
+    reach past ``REFERENCE_SAMPLES_MAX`` is a ``ParameterError``."""
     rate = window.sample_rate
-    whole, opening = (round(count) if count < math.inf else count
-                      for count in (chirp.duration * rate, delay * rate))
-    return min(whole, opening + window.n_samples + 1)
+    reach = min(_count(chirp.duration * rate),
+                _count(delay * rate) + window.n_samples + 1)
+    if reach > REFERENCE_SAMPLES_MAX:
+        raise ParameterError(f"a capture reaches {reach} chirp samples, more "
+                             f"than {REFERENCE_SAMPLES_MAX}")
+    return reach
 
 
 def _reachable(chirp: ChirpSpec, delay: float, window) -> Waveform:

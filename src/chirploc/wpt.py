@@ -166,14 +166,25 @@ def array_factor(array: ArraySpec, target_angle: float) -> float:
     return _gains(array, [array.steer_angle], target_angle)[0]
 
 
+# The most element phasors one gain pass may sum, about 32 bytes each at
+# its peak: 100,000 steers of a 10-element array.  A larger pass is refused
+# before anything is allocated.
+PHASORS_MAX = 1_000_000
+
+
 def _gains(array: ArraySpec, steers: list[float], target_angle: float) -> list[float]:
     """``array_factor`` of ``array`` steered to each of ``steers``: one numpy
     phasor sum, then each steer's magnitude and ``log10`` on Python's floats
-    and ``math``, as numpy's vector loops differ in the last bit of some."""
+    and ``math``, as numpy's vector loops differ in the last bit of some.
+    More than ``PHASORS_MAX`` steers times elements is a ``ParameterError``."""
     if not -90.0 <= target_angle <= 90.0:
         raise ParameterError(
             f"target_angle must be in [-90, 90], got {target_angle}"
         )
+    if len(steers) * array.n_elements > PHASORS_MAX:
+        raise ParameterError(
+            f"{len(steers)} steers of {array.n_elements} elements make more "
+            f"than {PHASORS_MAX} phasors")
     n, target = array.n_elements, math.sin(math.radians(target_angle))
     psi = np.array([2.0 * math.pi * array.spacing
                     * (target - math.sin(math.radians(steer))) for steer in steers])

@@ -16,9 +16,11 @@ from chirploc import (AcousticChannel, ArraySpec, FskConfig, HarvesterSpec,
 from chirploc.cli import COMMANDS, main
 from chirploc.config import (DEFAULT_CONFIG, REFERENCE_SAMPLES_MAX, load_config,
                              resolve_config)
-from chirploc.errors import ConfigError
-from chirploc.signals import _reach, _reachable
+from chirploc.errors import ConfigError, ParameterError
+from chirploc.signals import (_audio_reference, _backscatter_reference, _reach,
+                              _reachable)
 from chirploc.tables import ResultTable
+from chirploc.wpt import _gains, inclusive_grid
 
 
 def parse_csv(text: str):
@@ -913,6 +915,53 @@ def test_reference_limit_counts_what_the_memo_builds():
         0.02, 0.001, cfg.fsk.sample_rate)) == 210_001
     # every capture a test or script uses stays inside: 36 ms at 10 MHz
     load_config(sets=["timeline.capture_duration_s=0.036"])
+
+
+def test_a_chirp_past_a_floats_count_renders_its_range_table(capsys):
+    # the capture reaches 210,001 samples of a 1e305 s chirp, whose whole
+    # count at 10 MHz is inf; the table once died with an OverflowError
+    main(["size-buffer"])  # argparse and the config data are loaded
+    capsys.readouterr()
+    peaks = []
+    for sets in ([], ["--set", "chirp.duration_s=1e305"]):
+        _audio_reference.cache_clear()
+        _backscatter_reference.cache_clear()
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "range", *sets)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and err == ""
+    assert len(parse_csv(out)[2]) == 24
+    # built from cold, the reference memos cost what they cost at the defaults
+    assert peaks[1] < 1.05 * peaks[0]
+
+
+def test_a_sweep_of_too_many_phasors_fails_before_allocating(capsys):
+    # 19 steers of 1e8 elements: one gain pass once asked numpy for 28.3 GiB
+    main(["size-buffer"])  # argparse and the config data are loaded
+    capsys.readouterr()
+    tracemalloc.start()
+    started = time.perf_counter()
+    try:
+        code, out, err = run_cli(capsys, "sweep", "--set",
+                                 "sweep.n_elements=[100000000]")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - started < 1.0
+    assert peak < 1e6
+    assert code == 3 and out == ""
+    assert err == ("error: 19 steers of 100000000 elements make more than "
+                   "1000000 phasors\n")
+    # 1,000,000 phasors is the budget itself: 100,000 steers of 10 elements
+    # (a step of 180 / 99,999 degrees) fit, and so do 8 elements
+    steers = inclusive_grid(-90.0, 90.0, 180 / 99_999).tolist()
+    assert len(steers) == 100_000
+    assert len(_gains(ArraySpec(10), steers, 0.0)) == 100_000
+    with pytest.raises(ParameterError, match="more than 1000000 phasors"):
+        _gains(ArraySpec(11), steers, 0.0)
 
 
 @pytest.mark.parametrize("command, assignment, code, message", [

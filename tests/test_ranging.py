@@ -586,6 +586,22 @@ def test_warm_default_exchange_peaks_under_6_mb():
     assert peak < 6e6
 
 
+def test_a_library_reference_past_its_limit_is_refused_before_allocating():
+    # at 10 GHz the capture reaches 2.1e8 chirp samples: the one-bit memo
+    # asked for a 1.56 GiB chirp, where load_config refuses the same capture
+    fsk = FskConfig(1e6, 1.1e6, 1e10)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParameterError,
+                           match="reaches 210000001 chirp samples"):
+            simulate_ranging(CHIRP, AcousticChannel(distance=3.2), TIMELINE,
+                             mode="one-bit-backscatter", fsk=fsk)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
 def test_noisy_exchange_memory_does_not_grow_with_the_wakeup_delay():
     # propagating and adding noise to the whole chirp head grew it by
     # 0.06 MB at a 2 ms wake-up and 0.40 MB at 4 ms

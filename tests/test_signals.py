@@ -139,6 +139,16 @@ def test_shortened_chirp_rejects_negative_count():
         gen_chirp(DEFAULT_CHIRP, -1)
 
 
+def test_chirp_past_a_floats_count_gives_only_a_prefix():
+    # 1e305 s at 10 MHz is past a float's range: the count is inf, and only
+    # a prefix of such a chirp can be built
+    spec = ChirpSpec(20e3, 40e3, 1e305, 1e7)
+    assert spec.n_samples == math.inf
+    assert len(gen_chirp(spec, 1000)) == 1000
+    with pytest.raises(ParameterError, match="more samples than a float"):
+        gen_chirp(spec)
+
+
 # ---------------------------------------------------------- one_bit_quantize
 
 def test_quantize_all_zero_is_all_ones():
