@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .signals import Waveform
+from .signals import Waveform, _count
 
 __all__ = [
     "AcousticChannel",
@@ -55,16 +55,18 @@ class AcousticChannel:
     interpolate_delays: bool = False
 
     def __post_init__(self):
-        if self.distance < 0:
-            raise ParameterError(f"distance must be >= 0, got {self.distance}")
+        if not 0 <= self.distance < math.inf:
+            raise ParameterError(
+                f"distance must be finite and >= 0, got {self.distance}")
         if not self.speed_of_sound > 0:
             raise ParameterError(
                 f"speed_of_sound must be positive, got {self.speed_of_sound}")
         if self.attenuation_exponent < 0:
             raise ParameterError(
                 f"attenuation_exponent must be >= 0, got {self.attenuation_exponent}")
-        if self.noise_std < 0:
-            raise ParameterError(f"noise_std must be >= 0, got {self.noise_std}")
+        if not 0 <= self.noise_std < math.inf:
+            raise ParameterError(
+                f"noise_std must be finite and >= 0, got {self.noise_std}")
         if self.rng_seed < 0:
             raise ParameterError(f"rng_seed must be >= 0, got {self.rng_seed}")
         if not isinstance(self.interpolate_delays, (bool, np.bool_)):
@@ -103,15 +105,15 @@ class ReceiveWindow:
         if not self.sample_rate > 0:
             raise ParameterError(
                 f"sample_rate must be positive, got {self.sample_rate}")
-        count = self.duration * self.sample_rate
-        if not (math.isfinite(count) and round(count) > 0):
+        if not 0 < self.n_samples < math.inf:
             raise ParameterError(
-                f"duration {self.duration} s holds {count} samples at "
+                f"duration {self.duration} s holds "
+                f"{self.duration * self.sample_rate} samples at "
                 f"{self.sample_rate} Hz, not a finite count of at least one")
 
     @property
     def n_samples(self) -> int:
-        return int(round(self.duration * self.sample_rate))
+        return _count(self.duration * self.sample_rate)
 
 
 def _terms(ch: AcousticChannel, fs: float) -> list[tuple[int, float]]:

@@ -213,10 +213,14 @@ def trilaterate(
     damped-free Gauss-Newton steps until the step norm drops below 1 nm.
 
     Raises:
+        ParameterError: fewer than one iteration, or malformed inputs.
         GeometryError: degenerate beacon geometry or rank-deficient Jacobian.
         ConvergenceError: no convergence within ``max_iterations``; the
             exception carries the last iterate.
     """
+    if not max_iterations >= 1:
+        raise ParameterError(
+            f"max_iterations must be at least 1, got {max_iterations}")
     bset = beacons if isinstance(beacons, BeaconSet) else BeaconSet(np.asarray(beacons))
     pos = bset.positions
     k, dims = pos.shape

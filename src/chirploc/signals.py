@@ -229,42 +229,49 @@ def fsk_modulate(bits: BitStream, cfg: FskConfig) -> Waveform:
     the reflection coefficient of an RF switch driven by a multiplexed
     oscillator pair, so samples take only the values +1 and -1.
     """
-    if len(bits) == 0:
-        return Waveform(np.zeros(0), cfg.sample_rate, 0.0)
-    samples = 1.0 - 2.0 * _low_half(_carrier_phase(bits, cfg))
+    samples = 1.0 - 2.0 * _low_half(*_carrier_phase(bits, cfg))
     return Waveform(samples, cfg.sample_rate, 0.0)
 
 
-def _low_half(phase: np.ndarray) -> np.ndarray:
-    """1 where the +/-1 carrier at ``phase`` cycles is low (floor(2 phase)
-    is odd), else 0: the sign rule of the modulator and of exact rescoring.
+def _low_half(twice: np.ndarray, fs: int) -> np.ndarray:
+    """True where the +/-1 carrier at ``twice / (2 fs)`` cycles is low
+    (``twice // fs`` is odd): the sign rule of the modulator, which exact
+    rescoring reads through the memo.
 
     The sample is high during the first half of each carrier cycle, and the
     half-open rule keeps the sign deterministic even when a cycle boundary
     lands exactly on a sample, which happens whenever the tone divides the
-    sample rate.  For 0 <= phase < 2**62 this is exactly
-    ``np.mod(phase, 1) >= 0.5``: doubling is exact and truncation is the
-    floor, so no ``np.mod`` is needed.
+    sample rate; the integer phase puts every such boundary exactly.
     """
-    return (2.0 * phase).astype(np.int64) & 1
+    return (twice // fs & 1).astype(bool)
 
 
-def _carrier_phase(bits: BitStream, cfg: FskConfig) -> np.ndarray:
-    """Carrier phase, in cycles, at each sample ``fsk_modulate`` outputs.
+def _carrier_phase(bits: BitStream, cfg: FskConfig) -> tuple[np.ndarray, int]:
+    """Twice the carrier phase at each sample ``fsk_modulate`` outputs, as
+    exact integers: ``(twice, FS)``, the phase being ``twice / (2 FS)``
+    cycles.
 
-    Accumulating it keeps the carrier continuous across bit boundaries; the
-    running sum can round a half cycle that ends exactly on a sample to just
-    short of it, which gives that sample the previous half cycle's sign.
+    Every float is a ratio of integers, so ``F0 / FS`` and ``F1 / FS`` are
+    exactly the carrier cycles per sample of ``freq0`` and ``freq1``, with
+    ``FS`` their least common denominator (100 at the defaults).  Each sample
+    then advances ``twice`` by ``2 F0`` or ``2 F1``, so with ``h(j)`` the
+    1-samples before sample ``j``, ``twice(j) = 2 (j F0 + h(j) (F1 -
+    F0))``: the carrier stays continuous across bit boundaries with no
+    rounding.  It is int64 while ``2 n FS < 2**53``, so that every sum is
+    exact and every ``twice`` and ``2 FS`` is exact as a float; past that,
+    as non-dyadic tones can take it, it holds Python ints, as exact and
+    slower.
     """
+    # each tone's cycles per sample, f / sample_rate, as integers (p, q)
+    rate_p, rate_q = float(cfg.sample_rate).as_integer_ratio()
+    cycles = [(p * rate_q, q * rate_p) for p, q in (
+        float(f).as_integer_ratio() for f in (cfg.freq0, cfg.freq1))]
+    fs = math.lcm(*(q // math.gcd(p, q) for p, q in cycles))
     edges = _bit_boundaries(len(bits), cfg.sample_rate / bits.bit_rate)
-    cycles = np.repeat(_cycles_per_sample(bits.bits, cfg), np.diff(edges))
-    return np.concatenate(([0.0], np.cumsum(cycles[:-1])))
-
-
-def _cycles_per_sample(bits: np.ndarray, cfg: FskConfig) -> np.ndarray:
-    """Carrier cycles per output sample while each bit is on the air."""
-    return np.where(bits, cfg.freq1 / cfg.sample_rate,
-                    cfg.freq0 / cfg.sample_rate)
+    dtype = np.int64 if 2 * int(edges[-1]) * fs < 2**53 else object
+    advance = np.array([2 * p * fs // q for p, q in cycles], dtype)[np.repeat(
+        bits.bits, np.diff(edges))]
+    return np.cumsum(advance) - advance, fs
 
 
 def fft_size(n: int) -> int:
@@ -284,12 +291,18 @@ def pearson_window(x: np.ndarray, k: int, yz: np.ndarray, ey2: float) -> float:
 
 
 def _centre(v: np.ndarray) -> np.ndarray:
-    """``v`` minus its mean, and exact zeros for a constant ``v``, whose
-    rounded mean can leave a residue that reads as energy.  Comparing the
-    ends first keeps the full test off almost every window."""
-    if v[0] == v[-1] and (v == v[0]).all():
-        return np.zeros(v.size)
-    return v - v.mean()
+    """``v`` minus its mean, and exact zeros for a constant ``v`` (``v``
+    minus its first sample), whose rounded mean can leave a residue that
+    reads as energy.  Comparing the ends first keeps the full test off
+    almost every window.  The result starts on a 64-byte boundary, where
+    ``np.correlate`` takes about a third less time than at the other
+    offsets malloc may give, with the same bits."""
+    out = np.empty(v.size + 7)
+    out = out[-out.ctypes.data % 64 // 8:][:v.size]
+    constant = v[0] == v[-1] and (v == v[0]).all()
+    # the sum over the count is v.mean() to the bit, without its wrapper
+    mean = v[0] if constant else np.add.reduce(v) / v.size
+    return np.subtract(v, mean, out=out)
 
 
 def _centred(v: np.ndarray) -> tuple[np.ndarray, float]:
@@ -427,15 +440,18 @@ def _backscatter_reference(chirp: ChirpSpec, delay: float, window,
                            fsk: FskConfig, threshold: float) -> tuple:
     """The beacon side of the one-bit matched filter, built once per config.
 
-    Returns ``(reference, cycles, size, step, lags, spectra, rotations,
+    Returns ``(reference, halves, size, step, lags, spectra, rotations,
     coarse)``: the ``_reachable`` samples of ``chirp`` for an ``m``-sample
-    capture ``window`` opening ``delay`` seconds into it (at the RF rate),
-    the carrier cycles ``fsk_modulate`` advances per comparator bit of each,
-    the block FFT size, the lags between block starts, the number of lags an
-    ``m``-sample window can take, and, with ``P`` the modulator's carrier
-    phase and h the i-th of ``HARMONICS``, ``spectra[b, i]``, the
-    ``size``-point FFT of ``exp(2 pi i h P)`` from sample ``b * step`` on,
-    and ``rotations[i] = conj(exp(2 pi i h P[:lags]))``.  ``coarse`` is
+    capture ``window`` opening ``delay`` seconds into it (at the RF rate);
+    ``halves``, the ``_low_half`` of the exact phase ``(twice, FS)`` that
+    ``_carrier_phase`` gives their comparator bits, and ``twice % FS`` in
+    the narrowest integer type that holds ``FS``; the block FFT size, the
+    lags between block starts, the number of lags an ``m``-sample window
+    can take, and, with ``P`` the modulator's carrier phase ``twice / (2
+    FS)``, correctly rounded, and h the i-th of ``HARMONICS``,
+    ``spectra[b, i]``, the ``size``-point FFT of ``exp(2 pi i h P)`` from
+    sample ``b * step`` on, and ``rotations[i] = conj(exp(2 pi i h
+    P[:lags]))``.  ``coarse`` is
     ``_coarse_blocks``' reference: the advance of ``P`` over each
     ``COARSE_BIN`` samples from sample 0 on, and its ``_window_stats`` for
     the ``_coarse_bins(m)`` bins a capture keeps, or None when it keeps
@@ -448,7 +464,9 @@ def _backscatter_reference(chirp: ChirpSpec, delay: float, window,
     ref_bits = one_bit_quantize(reference, threshold)
     n, m = len(ref_bits), window.n_samples
     lags = n - m + 1
-    phase = _carrier_phase(ref_bits, fsk)
+    twice, fs = _carrier_phase(ref_bits, fsk)
+    # one rounding: twice and 2 fs are exact as floats, or Python ints
+    phase = np.asarray(twice / (2 * fs), dtype=float)
     # a circular correlation over a block of size samples leaves the first
     # step lags unwrapped: their windows end inside the block
     size = min(fft_size(3 * m), fft_size(n))
@@ -461,9 +479,9 @@ def _backscatter_reference(chirp: ChirpSpec, delay: float, window,
     if bins > 0:
         advance = _readonly(np.diff(phase[::COARSE_BIN]))
         coarse = (advance, _readonly(_window_stats(advance, bins)))
-    return (reference, _readonly(_cycles_per_sample(ref_bits.bits, fsk)),
-            size, step, lags, _readonly(spectra),
-            _readonly(np.conj(tones[:, :lags])), coarse)
+    halves = _low_half(twice, fs), (twice % fs).astype(np.min_scalar_type(fs))
+    return (reference, tuple(map(_readonly, halves)), size, step, lags,
+            _readonly(spectra), _readonly(np.conj(tones[:, :lags])), coarse)
 
 
 def _coarse_bins(m: int) -> int:
@@ -515,8 +533,8 @@ def _scan(matched: tuple, rfz: np.ndarray,
     ``rfz``, and their scores: the best of each overlap-save block's best,
     so the best of all lags in ``blocks`` unless the next one ties.
 
-    With ``P`` the carrier phase ``fsk_modulate`` accumulates over the
-    reference bits, the replica at lag k is +1 where ``frac(P[k+j] - P[k])
+    With ``P`` the carrier phase ``fsk_modulate`` gives the reference
+    bits, the replica at lag k is +1 where ``frac(P[k+j] - P[k])
     < 1/2``.  Its odd harmonics h turn the correlation at every lag into a
     cross-correlation with ``exp(2 pi i h P)``, rotated back by ``P[k]``.
     Every replica is a balanced carrier, so its energy is the window length
@@ -577,23 +595,24 @@ def _locate_backscatter(matched: tuple, rf: np.ndarray,
     return _first_max(shortlist, exact, rate)
 
 
-def _exact_scores(cycles: np.ndarray, lags: np.ndarray, yz: np.ndarray,
+def _exact_scores(halves: tuple, lags: np.ndarray, yz: np.ndarray,
                   ey2: float) -> np.ndarray:
     """``pearson_window``, bit for bit, of ``fsk_modulate`` of the
     ``m = yz.size`` reference bits from each lag k on against the centred
     ``yz`` of energy ``ey2``.  Bits are samples at the RF rate, so the
-    replica's phase is the running sum of ``cycles[k:k + m - 1]`` from 0,
-    and it is +1 where ``floor(2 phase)`` is even (``_low_half``); its
+    replica's doubled phase is ``twice[k:k + m] - twice[k]``.  With ``low``
+    and ``rem`` the memo's ``halves`` (``twice // FS`` odd, ``twice %
+    FS``), its floor over ``FS`` is ``twice[j] // FS - twice[k] // FS``,
+    less one where ``rem[j] < rem[k]``, so the replica is low
+    (``_low_half``) where ``low[j] ^ low[k] ^ (rem[j] < rem[k])``; its
     samples sum to an integer, so its count of low ones gives its mean
     exactly."""
-    m = yz.size
-    phase = np.zeros(m)
+    (low, rem), m = halves, yz.size
     scores = np.empty(len(lags))
     for i, k in enumerate(lags):
-        np.cumsum(cycles[k:k + m - 1], out=phase[1:])
-        low = _low_half(phase)
-        mean = (m - 2 * int(np.count_nonzero(low))) / m
-        xz = np.array((1.0 - mean, -1.0 - mean))[low]
+        lows = np.less(rem[k:k + m], rem[k]) ^ low[k:k + m] ^ low[k]
+        mean = (m - 2 * int(np.count_nonzero(lows))) / m
+        xz = np.array((1.0 - mean, -1.0 - mean)).take(lows.view(np.uint8))
         scores[i] = _centred_pearson(xz, yz, ey2)
     return scores
 

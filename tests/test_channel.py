@@ -121,6 +121,12 @@ def test_delay_equals_distance_over_speed(distance, c):
     dict(distance=1.0, interpolate_delays=1),
     # numpy's generators take no negative seed
     dict(distance=1.0, rng_seed=-1),
+    # a NaN noise ran noiseless, and a NaN or infinite distance failed only
+    # at the capture, as a window error
+    dict(distance=1.0, noise_std=math.nan),
+    dict(distance=1.0, noise_std=math.inf),
+    dict(distance=math.nan),
+    dict(distance=math.inf),
 ])
 def test_channel_rejects_bad_parameters(kwargs):
     with pytest.raises(ParameterError):

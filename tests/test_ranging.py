@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -375,6 +376,15 @@ def test_trilaterate_convergence_error_carries_state():
     assert exc.value.last_iterate.shape == (2,)
 
 
+@pytest.mark.parametrize("count", [0, -3])
+def test_trilaterate_needs_at_least_one_iteration(count):
+    # no iteration left no residual, and its RMS died with a TypeError
+    truth = np.array([2.5, 2.5])
+    dists = np.linalg.norm(SQUARE_2D - truth, axis=1)
+    with pytest.raises(ParameterError, match=f"got {count}"):
+        trilaterate(SQUARE_2D, dists, max_iterations=count)
+
+
 def test_beacon_set_validation():
     with pytest.raises(GeometryError):
         BeaconSet(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]))
@@ -633,39 +643,39 @@ def test_a_far_echo_costs_no_memory_and_moves_no_bit(noise):
 GOLDEN_DISTANCES = (0.5, 1.3, 2.2, 3.2, 4.5, 5.9)
 GOLDEN = {
     "noise-0.05": (["channel.noise_std=0.05"], [
-        ("0x1.2e9d36dd0bdf3p-6", "0x1.d532bda22c136p-1"),
-        ("0x1.085b18548a9bdp-6", "0x1.cbac801cb8de0p-1"),
-        ("0x1.c38cb22a8a174p-7", "0x1.a0c4af5048447p-1"),
-        ("0x1.56f9e1d8cd8c1p-7", "0x1.76fd357ca1683p-1"),
-        ("0x1.ce548c494efe7p-8", "0x1.468db3d4d1916p-1"),
-        ("0x1.75048edaf9b64p-9", "0x1.b3eab19531f6bp-1"),
+        ("0x1.2e9d36dd0bdf3p-6", "0x1.d7dc0a0f4c62dp-1"),
+        ("0x1.085b18548a9bdp-6", "0x1.c56d5f828ffe0p-1"),
+        ("0x1.c38cb22a8a174p-7", "0x1.a12d7ab8f37c4p-1"),
+        ("0x1.56f9e1d8cd8c1p-7", "0x1.76c8b6305ee25p-1"),
+        ("0x1.ce52deca2552ap-8", "0x1.458792cd054e6p-1"),
+        ("0x1.75048edaf9b64p-9", "0x1.b6ae7d566cf42p-1"),
     ]),
     "noise-0.1": (["channel.noise_std=0.1"], [
-        ("0x1.2cd47460faecap-6", "0x1.9013c49eca15cp-1"),
-        ("0x1.0ad03d9a95422p-6", "0x1.c068eb3d417bbp-1"),
-        ("0x1.c0ff3930a3360p-7", "0x1.a76c9a882d552p-1"),
-        ("0x1.56f9e1d8cd8c1p-7", "0x1.624e3356f2106p-1"),
-        ("0x1.ba5c87c05341cp-8", "0x1.578d5ce554a3fp-1"),
-        ("0x1.62896213f14e9p-9", "0x1.22b71dbfb0e58p-1"),
+        ("0x1.2cd47460faecap-6", "0x1.906256387d824p-1"),
+        ("0x1.0ad03d9a95422p-6", "0x1.c0b788c91e1dcp-1"),
+        ("0x1.c0ff3930a3360p-7", "0x1.a872bf69d3eddp-1"),
+        ("0x1.56f9e1d8cd8c1p-7", "0x1.617cbf44473f5p-1"),
+        ("0x1.ba5c87c05341cp-8", "0x1.55b571afad19bp-1"),
+        ("0x1.62896213f14e9p-9", "0x1.251207d2e2bedp-1"),
     ]),
     "echo-interpolated": ([
         "channel.multipath=[[0.0005, 0.5]]",
         "channel.interpolate_delays=true"], [
-        ("0x1.2ea6dc783b7b0p-6", "0x1.f2474591959efp-1"),
-        ("0x1.08eaf5acbfe71p-6", "0x1.e7a0fb66d6f44p-1"),
-        ("0x1.bab649d388a8bp-7", "0x1.f4a233ab7c3edp-1"),
-        ("0x1.5ae528e424d82p-7", "0x1.e8a71de69ad43p-1"),
-        ("0x1.d10ccd6ddc7c7p-8", "0x1.c8ce7303c6e52p-1"),
-        ("0x1.8de53070e113bp-9", "0x1.c2a998af28cc2p-1"),
+        ("0x1.2f3f88ac0b8c2p-6", "0x1.f03afa00e646fp-1"),
+        ("0x1.08eaf5acbfe71p-6", "0x1.e7d5695e04516p-1"),
+        ("0x1.bab649d388a8bp-7", "0x1.f0a3d985e53bdp-1"),
+        ("0x1.598c63503170cp-7", "0x1.e92a361a6ce8dp-1"),
+        ("0x1.d10ccd6ddc7c7p-8", "0x1.bf2e496d1c834p-1"),
+        ("0x1.8de53070e113bp-9", "0x1.c2a9985cd5699p-1"),
     ]),
     "capture-4ms": ([
         "timeline.capture_duration_s=0.004", "channel.noise_std=0.05"], [
-        ("0x1.2fcce1c58255bp-6", "0x1.aa4a8a7c0da93p-1"),
-        ("0x1.086020d2079f3p-6", "0x1.6d07d7d76fa31p-1"),
-        ("0x1.bfab7c1a2cd1fp-7", "0x1.567a118e06935p-1"),
-        ("0x1.5c53bded35f8ep-7", "0x1.e2f8380c789f7p-2"),
-        ("0x1.b525105ac116bp-8", "0x1.73f7e33fcbd53p-2"),
-        ("0x1.6ed4c9f15039dp-9", "0x1.546dc139d0222p-1"),
+        ("0x1.2fcc7665b7eacp-6", "0x1.acf41ae01493fp-1"),
+        ("0x1.086020d2079f3p-6", "0x1.6a4aa4445352ep-1"),
+        ("0x1.bfab7c1a2cd1fp-7", "0x1.590ffafee0937p-1"),
+        ("0x1.5c53bded35f8ep-7", "0x1.e28f5ba0f1a07p-2"),
+        ("0x1.b526bdd9eac28p-8", "0x1.73ddb40b1ade3p-2"),
+        ("0x1.6ed4c9f15039dp-9", "0x1.51e4f7888e42cp-1"),
     ]),
 }
 GOLDEN_CHILD = """
@@ -791,7 +801,7 @@ def test_ideal_exchanges_match_their_golden_bits(setting):
 
 @pytest.mark.xfail(strict=True, reason=(
     "known defect: a 50 us capture's comparator bits repeat exactly at "
-    "other lags, so one-bit reads 0.5 m as 1.0057 m and 2.0 m as 2.2013 m, "
+    "other lags, so one-bit reads 0.5 m as 0.9164 m and 2.0 m as 0.5768 m, "
     "each with a score of 1.0"))
 @pytest.mark.parametrize("distance", [0.5, 2.0])
 def test_short_one_bit_capture_ranges_within_1_mm(distance):
@@ -857,22 +867,30 @@ def test_cached_reference_side_is_read_only():
     key = (*_memo_key(SHORT_CHIRP, SHORT_TIMELINE, FSK.sample_rate), FSK, 0.0)
     matched = signals._backscatter_reference(*key)
     assert signals._backscatter_reference(*key) is matched
-    reference, cycles, size, step, lags, spectra, rotations, coarse = matched
+    reference, halves, size, step, lags, spectra, rotations, coarse = matched
     # a 1000-sample window: blocks of fft_size(3000) samples, 2001 lags apart
     assert (len(reference), size, step, lags) == (6001, 3000, 2001, 5002)
     assert spectra.shape == (3, len(signals.HARMONICS), 3000)
     assert rotations.shape == (len(signals.HARMONICS), 5002)
-    # the cycle table is the modulator's, one entry per reference sample
+    # the halves are the modulator's, one entry per reference sample: the
+    # tones advance 10 and 11 hundredths of a cycle a sample, so twice the
+    # phase in hundredths is 2 (10 j + h(j)) with h(j) the 1-bits before j;
+    # they hold its floor's parity and its remainder over 100, as bytes
     bits = one_bit_quantize(reference).bits
-    assert np.array_equal(cycles, np.where(bits, FSK.freq1 / FSK.sample_rate,
-                                           FSK.freq0 / FSK.sample_rate))
-    # the coarse reference is that table's advance over each 50-sample bin,
-    # and its window energies span the 17 bins a 1000-sample capture keeps
+    high = np.concatenate(([0], np.cumsum(bits[:-1], dtype=np.int64)))
+    twice = 2 * (10 * np.arange(bits.size) + high)
+    low, rem = halves
+    assert np.array_equal(low, twice // 100 % 2 == 1)
+    assert np.array_equal(rem, twice % 100) and rem.dtype == np.uint8
+    # the coarse reference is the correctly rounded phase's advance over
+    # each 50-sample bin, and its window energies span the 17 bins a
+    # 1000-sample capture keeps
     advance, ex2 = coarse
-    phase = np.concatenate(([0.0], np.cumsum(cycles)))
-    assert np.array_equal(advance, np.diff(phase[::signals.COARSE_BIN]))
+    phase = np.array([Fraction(int(t), 200)
+                      for t in twice[::signals.COARSE_BIN]], dtype=float)
+    assert np.array_equal(advance, np.diff(phase))
     assert (advance.size, ex2.size) == (120, 104)
-    for array in (reference.samples, cycles, spectra, rotations, advance,
+    for array in (reference.samples, low, rem, spectra, rotations, advance,
                   ex2):
         with pytest.raises(ValueError):
             array[0] = 0
@@ -973,7 +991,8 @@ def test_blocked_scan_matches_a_full_length_scan(timeline, n_blocks):
     # the oracle: one circular correlation over the whole reference
     ref_bits = one_bit_quantize(reference)
     full = signals.fft_size(len(ref_bits))
-    phase = _carrier_phase(ref_bits, FSK)
+    twice, fs = _carrier_phase(ref_bits, FSK)
+    phase = twice / (2 * fs)
     rf_spec = np.conj(np.fft.fft(rfz, full))
     expected = np.zeros(lags)
     for h in signals.HARMONICS:

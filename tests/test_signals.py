@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from chirploc import (
     xcorr_offset,
 )
 from chirploc.signals import (
+    _carrier_phase,
     _centred,
     _low_half,
     _sliding_pearson,
@@ -279,12 +281,9 @@ def test_fsk_round_trip_identity_property(freq0, shift, tb_product,
     assert np.array_equal(back.bits, bits.bits)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "known defect: the carrier phase is a running float sum, so a half "
-    "cycle that ends exactly on a sample can round to just short of it and "
-    "the sample takes the wrong sign; the round-trip property above then "
-    "fails for bits [1, 1] at freq0 10 kHz, shift 0.09375, 6x oversampling"))
 def test_fsk_square_wave_switches_on_exact_half_cycle_boundaries():
+    # a float running sum of the phase rounded a half cycle that ends
+    # exactly on a sample to just short of it, flipping that sample
     cfg = FskConfig(freq0=1e4, freq1=10937.5, sample_rate=65625.0)
     wave = fsk_modulate(BitStream(np.ones(2, dtype=np.uint8), 1e4 / 6), cfg)
     # six samples per carrier cycle: three high, then three low
@@ -313,30 +312,89 @@ def test_fsk_rejects_too_short_bit_period():
         fsk_demodulate(w, cfg, bit_rate=600e3)
 
 
-def _near_half_cycle(k: int, side: int) -> float:
-    """k / 2, or the float one ulp below or above it (never below 0)."""
-    half = k / 2
-    return float(np.nextafter(half, (0.0, half, np.inf)[side]))
+def _exact_signs(bits: BitStream, cfg: FskConfig) -> np.ndarray:
+    """The modulator's samples from its phase P summed sample by sample in
+    exact fractions: -1 where floor(2 P) is odd, else +1."""
+    per_bit = cfg.sample_rate / bits.bit_rate
+    widths = np.diff(np.round(np.arange(len(bits) + 1) * per_bit))
+    advance = [Fraction(f) / Fraction(cfg.sample_rate)
+               for f in (cfg.freq0, cfg.freq1)]
+    phase, signs = Fraction(0), []
+    for bit, width in zip(bits.bits, widths.astype(int)):
+        for _ in range(width):
+            signs.append(-1.0 if math.floor(2 * phase) % 2 else 1.0)
+            phase += advance[bit]
+    return np.array(signs)
 
 
-PHASES = st.one_of(
-    st.floats(0.0, 1e6),
-    st.builds(_near_half_cycle, st.integers(0, 2 * 10**6), st.integers(0, 2)),
-)
+# whole hertz, eighths of a hertz and any float: the first two keep the
+# doubled phase in int64, and most floats, which are not dyadic, take it past
+# 2**53 into Python ints
+TONE_ROUNDING = {"whole": round, "dyadic": lambda f: round(8 * f) / 8,
+                 "float": float}
 
 
-@given(arrays(np.float64, array_shapes(min_dims=1, max_dims=2, max_side=16),
-              elements=PHASES))
+@given(kind=st.sampled_from(sorted(TONE_ROUNDING)),
+       freq0=st.floats(1e4, 1.5e6),
+       shift=st.one_of(st.floats(-0.09, -0.02), st.floats(0.02, 0.09)),
+       oversample=st.floats(4.5, 10.0), per_bit=st.floats(1.0, 40.0),
+       seed=st.integers(0, 2**32 - 1), n_bits=st.integers(1, 24))
+@settings(max_examples=60, deadline=None)
+@example(kind="dyadic", freq0=1e4, shift=0.09375, oversample=6.0,
+         per_bit=36.0, seed=0, n_bits=2)
+@example(kind="float", freq0=10000.1, shift=0.05, oversample=7.3,
+         per_bit=9.5, seed=1, n_bits=20)
+def test_fsk_signs_follow_the_exact_phase(kind, freq0, shift, oversample,
+                                          per_bit, seed, n_bits):
+    rounding = TONE_ROUNDING[kind]
+    freq0, freq1 = rounding(freq0), rounding(freq0 * (1 + shift))
+    cfg = FskConfig(freq0=float(freq0), freq1=float(freq1),
+                    sample_rate=float(rounding(oversample * max(freq0,
+                                                                freq1))))
+    bits = BitStream(np.random.default_rng(seed).integers(0, 2, n_bits),
+                     cfg.sample_rate / per_bit)
+    wave = fsk_modulate(bits, cfg)
+    assert np.array_equal(wave.samples, _exact_signs(bits, cfg))
+    # int64 while 2 n FS < 2**53, FS the least common denominator of the
+    # carrier cycles per sample of the two tones
+    rate = Fraction(cfg.sample_rate)
+    fs = math.lcm(*((Fraction(f) / rate).denominator
+                    for f in (cfg.freq0, cfg.freq1)))
+    big = 2 * len(wave) * fs >= 2**53
+    twice, got_fs = _carrier_phase(bits, cfg)
+    assert got_fs == fs and twice.dtype == (object if big else np.int64)
+    assert kind == "float" or not big
+
+
+@st.composite
+def _doubled_phases(draw):
+    """An integer ``fs`` and an array of twice the phase over it, in units
+    of ``1 / fs`` cycles, many of them within one unit of a half cycle."""
+    fs = draw(st.integers(1, 10**12))
+    near = st.builds(lambda k, side: max(k * fs + side - 1, 0),
+                     st.integers(0, 2 * 10**6), st.integers(0, 2))
+    return fs, draw(arrays(np.int64, array_shapes(min_dims=1, max_dims=2,
+                                                  max_side=16),
+                           elements=st.one_of(st.integers(0, 2**62), near)))
+
+
+@given(_doubled_phases())
 @settings(max_examples=200)
-@example(np.array([[0.0, 0.5, 1.0, 1.5],
-                   [np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0),
-                    np.nextafter(1e6, 0.0), 1e6]]))
-def test_square_wave_matches_the_mod_rule(phase):
-    # the sign rule the modulator and the exact rescoring share
-    expected = np.where(np.mod(phase, 1.0) < 0.5, 1.0, -1.0)
-    got = 1.0 - 2.0 * _low_half(phase)
-    assert got.shape == phase.shape
-    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+@example((10**7, np.array([[0, 10**7, 2 * 10**7, 3 * 10**7],
+                           [10**7 - 1, 10**7 + 1, 2**62 - 1, 2**62]])))
+def test_square_wave_matches_the_mod_rule(case):
+    # the sign rule the modulator and the exact rescoring share, against
+    # frac(P) < 1/2 on the exact phase P = twice / (2 fs): in int64, and an
+    # even number of half cycles on, in Python ints past it
+    fs, twice = case
+    high = np.vectorize(lambda t: Fraction(int(t), 2 * fs) % 1 < 0.5,
+                        otypes=[bool])
+    for phase in (twice, twice.astype(object) + 2**64 * 2 * fs):
+        expected = np.where(high(phase), 1.0, -1.0)
+        got = 1.0 - 2.0 * _low_half(phase, fs)
+        assert got.shape == phase.shape
+        assert np.array_equal(got.view(np.uint64),
+                              expected.view(np.uint64))
 
 
 def test_fsk_config_rejects_equal_or_far_tones():
