@@ -179,15 +179,17 @@ def simulate_ranging(
     rate = chirp.sample_rate if mode == "ideal-audio" else fsk.sample_rate
     window = ReceiveWindow(timeline.wakeup_time, timeline.capture_duration, rate)
     if mode == "ideal-audio":
-        matched = _audio_reference(chirp, timeline.wakeup_delay, window)
+        reference, *scaled = _audio_reference(chirp, timeline.wakeup_delay,
+                                              window)
     else:
         matched = _backscatter_reference(chirp, timeline.wakeup_delay, window,
                                          fsk, threshold)
-    captured = _capture(matched[0].samples, rate, timeline.chirp_start,
+        reference = matched.reference
+    captured = _capture(reference.samples, rate, timeline.chirp_start,
                         channel, window)
 
     if mode == "ideal-audio":
-        lag, peak = _locate(*matched[1:], captured.samples, rate)
+        lag, peak = _locate(*scaled, captured.samples, rate)
     else:
         rf = fsk_modulate(one_bit_quantize(captured, threshold), fsk)
         lag, peak = _locate_backscatter(matched, rf.samples, rate)

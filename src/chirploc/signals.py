@@ -7,7 +7,9 @@ is a replica of the modulator.  It scores that reflection against the
 reflection each window of the reference chirp would produce, at every lag at
 once (``_scan``), over the overlap-save blocks that a coarse locate of the
 carrier's advance picks (``_coarse_blocks``), then rescores the best lags
-exactly (``_exact_scores``).
+exactly (``_exact_scores``).  The reflection and every replica are +/-1
+waves, so each exact score follows from three integer counts, and no
+one-bit score depends on how a BLAS library orders its sums.
 
 Nothing here draws random numbers.  ``_audio_reference`` and
 ``_backscatter_reference`` memoize each locator's reference side, which
@@ -19,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -287,7 +290,20 @@ def pearson_window(x: np.ndarray, k: int, yz: np.ndarray, ey2: float) -> float:
     ``yz`` and ``ey2`` are the segment and its energy as ``_centred`` gives
     them, so a caller scoring one segment at many lags centres it once.
     """
-    return _centred_pearson(_centre(x[k:k + yz.size]), yz, ey2)
+    xz = _centre(x[k:k + yz.size])
+    a = float(np.dot(xz, xz))
+    if a == 0.0 and ey2 == 0.0:
+        return 1.0
+    if a == 0.0 or ey2 == 0.0:
+        return 0.0
+    # sqrt(fl(a*a)) == a in IEEE double, so a perfect match is exactly 1.0.
+    # Scaling each factor by an even power of two first is exact and keeps
+    # the product clear of underflow and overflow.
+    ea, ee = math.frexp(a)[1] & ~1, math.frexp(ey2)[1] & ~1
+    denom = math.ldexp(
+        math.sqrt(math.ldexp(a, -ea) * math.ldexp(ey2, -ee)), (ea + ee) // 2)
+    peak = float(np.dot(xz, yz)) / denom
+    return min(1.0, max(-1.0, peak))
 
 
 def _centre(v: np.ndarray) -> np.ndarray:
@@ -317,23 +333,6 @@ def _first_max(lags: np.ndarray, scores: np.ndarray,
     highest exact score, and that score: ties go to the smallest lag."""
     best = int(np.argmax(scores))
     return int(lags[best]) / rate, float(scores[best])
-
-
-def _centred_pearson(xz: np.ndarray, yz: np.ndarray, ey2: float) -> float:
-    """Exact Pearson correlation of centred ``xz`` and ``yz`` (energy ``ey2``)."""
-    a = float(np.dot(xz, xz))
-    if a == 0.0 and ey2 == 0.0:
-        return 1.0
-    if a == 0.0 or ey2 == 0.0:
-        return 0.0
-    # sqrt(fl(a*a)) == a in IEEE double, so a perfect match is exactly 1.0.
-    # Scaling each factor by an even power of two first is exact and keeps
-    # the product clear of underflow and overflow.
-    ea, ee = math.frexp(a)[1] & ~1, math.frexp(ey2)[1] & ~1
-    denom = math.ldexp(
-        math.sqrt(math.ldexp(a, -ea) * math.ldexp(ey2, -ee)), (ea + ee) // 2)
-    peak = float(np.dot(xz, yz)) / denom
-    return min(1.0, max(-1.0, peak))
 
 
 def _unit_scale(x: np.ndarray) -> np.ndarray:
@@ -435,30 +434,43 @@ def _audio_reference(chirp: ChirpSpec, delay: float, window) -> tuple:
     return reference, x, _readonly(_window_stats(x, window.n_samples))
 
 
+class BackscatterReference(NamedTuple):
+    """The beacon side of the one-bit matched filter, as
+    ``_backscatter_reference`` builds it."""
+
+    reference: Waveform
+    halves: tuple
+    size: int
+    step: int
+    lags: int
+    spectra: np.ndarray
+    rotations: np.ndarray
+    coarse: tuple | None
+
+
 @lru_cache(maxsize=1)
 def _backscatter_reference(chirp: ChirpSpec, delay: float, window,
-                           fsk: FskConfig, threshold: float) -> tuple:
+                           fsk: FskConfig,
+                           threshold: float) -> BackscatterReference:
     """The beacon side of the one-bit matched filter, built once per config.
 
-    Returns ``(reference, halves, size, step, lags, spectra, rotations,
-    coarse)``: the ``_reachable`` samples of ``chirp`` for an ``m``-sample
-    capture ``window`` opening ``delay`` seconds into it (at the RF rate);
-    ``halves``, the ``_low_half`` of the exact phase ``(twice, FS)`` that
-    ``_carrier_phase`` gives their comparator bits, and ``twice % FS`` in
-    the narrowest integer type that holds ``FS``; the block FFT size, the
-    lags between block starts, the number of lags an ``m``-sample window
-    can take, and, with ``P`` the modulator's carrier phase ``twice / (2
-    FS)``, correctly rounded, and h the i-th of ``HARMONICS``,
-    ``spectra[b, i]``, the ``size``-point FFT of ``exp(2 pi i h P)`` from
-    sample ``b * step`` on, and ``rotations[i] = conj(exp(2 pi i h
-    P[:lags]))``.  ``coarse`` is
-    ``_coarse_blocks``' reference: the advance of ``P`` over each
-    ``COARSE_BIN`` samples from sample 0 on, and its ``_window_stats`` for
-    the ``_coarse_bins(m)`` bins a capture keeps, or None when it keeps
-    none.  Blocks follow the capture length alone: ``size = min(fft_size(3
-    m), fft_size(n))``.  Only the last config is kept, about 19 MB at the
-    defaults; every array is read-only, so no exchange can change what a
-    later one reads.
+    ``reference`` is the ``_reachable`` samples of ``chirp`` for an
+    ``m``-sample capture ``window`` opening ``delay`` seconds into it (at the
+    RF rate); ``halves``, the ``_low_half`` of the exact phase ``(twice,
+    FS)`` that ``_carrier_phase`` gives their comparator bits, and ``twice %
+    FS`` in the narrowest integer type that holds ``FS``; ``size``, ``step``
+    and ``lags``, the block FFT size, the lags between block starts and the
+    number of lags an ``m``-sample window can take.  With ``P`` the
+    modulator's carrier phase ``twice / (2 FS)``, correctly rounded, and h
+    the i-th of ``HARMONICS``, ``spectra[b, i]`` is the ``size``-point FFT
+    of ``exp(2 pi i h P)`` from sample ``b * step`` on, and ``rotations[i] =
+    conj(exp(2 pi i h P[:lags]))``.  ``coarse`` is ``_coarse_blocks``'
+    reference: the advance of ``P`` over each ``COARSE_BIN`` samples from
+    sample 0 on, and its ``_window_stats`` for the ``_coarse_bins(m)`` bins
+    a capture keeps, or None when it keeps none.  Blocks follow the capture
+    length alone: ``size = min(fft_size(3 m), fft_size(n))``.  Only the last
+    config is kept, about 19 MB at the defaults; every array is read-only,
+    so no exchange can change what a later one reads.
     """
     reference = _reachable(chirp, delay, window)
     ref_bits = one_bit_quantize(reference, threshold)
@@ -480,8 +492,9 @@ def _backscatter_reference(chirp: ChirpSpec, delay: float, window,
         advance = _readonly(np.diff(phase[::COARSE_BIN]))
         coarse = (advance, _readonly(_window_stats(advance, bins)))
     halves = _low_half(twice, fs), (twice % fs).astype(np.min_scalar_type(fs))
-    return (reference, tuple(map(_readonly, halves)), size, step, lags,
-            _readonly(spectra), _readonly(np.conj(tones[:, :lags])), coarse)
+    return BackscatterReference(
+        reference, tuple(map(_readonly, halves)), size, step, lags,
+        _readonly(spectra), _readonly(np.conj(tones[:, :lags])), coarse)
 
 
 def _coarse_bins(m: int) -> int:
@@ -491,7 +504,7 @@ def _coarse_bins(m: int) -> int:
     return (m - 1) // COARSE_BIN - 2
 
 
-def _coarse_blocks(matched: tuple, rf: np.ndarray) -> range:
+def _coarse_blocks(matched: BackscatterReference, rf: np.ndarray) -> range:
     """The overlap-save blocks ``_scan`` needs for the reflection ``rf``.
 
     Each sign change of ``rf`` is half a carrier cycle on from the last, so
@@ -503,17 +516,16 @@ def _coarse_blocks(matched: tuple, rf: np.ndarray) -> range:
     farther than ``COARSE_REACH`` from it by less than ``COARSE_MARGIN``,
     the capture keeps no bin, or ``rf`` changes sign less than twice.
     """
-    step, lags, spectra = matched[3:6]
-    coarse = matched[7]
-    every = range(len(spectra))
+    every = range(len(matched.spectra))
     flips = np.flatnonzero(rf[1:] != rf[:-1])
-    if coarse is None or flips.size < 2:
+    if matched.coarse is None or flips.size < 2:
         return every
     # np.interp clamps before the first sign change and past the last, so
     # the bin at each end is dropped
     edges = np.arange(_coarse_bins(rf.size) + 3) * COARSE_BIN
     phase = np.interp(edges, flips, np.arange(flips.size) / 2)
-    scores = _sliding_pearson(*coarse, *_centred(np.diff(phase)[1:-1]))
+    scores = _sliding_pearson(*matched.coarse,
+                              *_centred(np.diff(phase)[1:-1]))
     best = int(np.argmax(scores))
     reach = COARSE_REACH // COARSE_BIN
     far = np.concatenate((scores[:max(best - reach, 0)],
@@ -522,11 +534,12 @@ def _coarse_blocks(matched: tuple, rf: np.ndarray) -> range:
         return every
     # the stream's first kept bin starts COARSE_BIN samples into the capture
     lag = (best - 1) * COARSE_BIN
+    step = matched.step
     return range(max(lag - COARSE_REACH, 0) // step,
-                 min(lag + COARSE_REACH, lags - 1) // step + 1)
+                 min(lag + COARSE_REACH, matched.lags - 1) // step + 1)
 
 
-def _scan(matched: tuple, rfz: np.ndarray,
+def _scan(matched: BackscatterReference, rfz: np.ndarray,
           blocks: range) -> tuple[np.ndarray, np.ndarray]:
     """The ``RESCORED_LAGS`` lags, in order, at which the square-wave
     replica truncated to ``HARMONICS`` best matches the centred reflection
@@ -539,16 +552,20 @@ def _scan(matched: tuple, rfz: np.ndarray,
     cross-correlation with ``exp(2 pi i h P)``, rotated back by ``P[k]``.
     Every replica is a balanced carrier, so its energy is the window length
     to within a few samples and the scan ranks lags by correlation alone.
-    Per block, one inverse FFT takes every harmonic's correlation at the
-    block's first ``step`` lags, each rotated back by its start phase and
-    weighted by 1/h.  The blocks run one after another on the calling
-    thread, in one ``(len(HARMONICS), size)`` buffer, and their kept lags
-    merge in block order.
+    ``rfz`` is real, so its conjugate spectrum is the Hermitian extension
+    of its real FFT.  Per block, one inverse FFT takes every harmonic's
+    correlation at the block's first ``step`` lags, each rotated back by its
+    start phase and weighted by 1/h.  The blocks run one after another on
+    the calling thread, in one ``(len(HARMONICS), size)`` buffer, and their
+    kept lags merge in block order.
     """
-    size, step, lags, spectra, rotations = matched[2:7]
-    rf_spec = np.conj(np.fft.fft(rfz, size))
-    # the square wave is 4/pi times the sum of sin(2 pi h theta) / h
-    weights = np.array(HARMONICS, dtype=float)[:, None]
+    size, step, lags = matched.size, matched.step, matched.lags
+    half = np.fft.rfft(rfz, size)
+    rf_spec = np.concatenate((np.conj(half), half[size - half.size:0:-1]))
+    del half  # before the block buffer, which sets the exchange's peak
+    # the square wave is 4/pi times the sum of sin(2 pi h theta) / h; the
+    # fundamental's row, h = 1, needs no division
+    weights = np.array(HARMONICS[1:], dtype=float)[:, None]
     buf = np.empty((len(HARMONICS), size), dtype=complex)
     score = np.empty(step)
     shortlist, scores = [], []
@@ -556,10 +573,10 @@ def _scan(matched: tuple, rfz: np.ndarray,
         start = b * step
         width = min(step, lags - start)
         corr = buf[:, :width]
-        np.multiply(spectra[b], rf_spec, out=buf)
+        np.multiply(matched.spectra[b], rf_spec, out=buf)
         np.fft.ifft(buf, axis=-1, out=buf)
-        np.multiply(rotations[:, start:start + width], corr, out=corr)
-        np.divide(corr.imag, weights, out=corr.imag)
+        np.multiply(matched.rotations[:, start:start + width], corr, out=corr)
+        np.divide(corr.imag[1:], weights, out=corr.imag[1:])
         block = np.sum(corr.imag, axis=0, out=score[:width])
         best = _best(block)
         shortlist.append(best + start)
@@ -577,7 +594,7 @@ def _best(scores: np.ndarray) -> np.ndarray:
     return np.argpartition(scores, -take)[-take:].copy()
 
 
-def _locate_backscatter(matched: tuple, rf: np.ndarray,
+def _locate_backscatter(matched: BackscatterReference, rf: np.ndarray,
                         rate: float) -> tuple[float, float]:
     """``xcorr_offset`` of the reflection ``rf`` the beacon hears, sampled
     at ``rate``, inside the reflection of the reference comparator bits,
@@ -589,31 +606,45 @@ def _locate_backscatter(matched: tuple, rf: np.ndarray,
     the smallest lag.  CHANGES.md records how the pruned answers compare
     with the all-blocks scan's.
     """
-    rfz, ey2 = _centred(rf)
-    shortlist, _ = _scan(matched, rfz, _coarse_blocks(matched, rf))
-    exact = _exact_scores(matched[1], shortlist, rfz, ey2)
+    shortlist, _ = _scan(matched, _centre(rf), _coarse_blocks(matched, rf))
+    exact = _exact_scores(matched.halves, shortlist, rf < 0)
     return _first_max(shortlist, exact, rate)
 
 
-def _exact_scores(halves: tuple, lags: np.ndarray, yz: np.ndarray,
-                  ey2: float) -> np.ndarray:
-    """``pearson_window``, bit for bit, of ``fsk_modulate`` of the
-    ``m = yz.size`` reference bits from each lag k on against the centred
-    ``yz`` of energy ``ey2``.  Bits are samples at the RF rate, so the
-    replica's doubled phase is ``twice[k:k + m] - twice[k]``.  With ``low``
-    and ``rem`` the memo's ``halves`` (``twice // FS`` odd, ``twice %
-    FS``), its floor over ``FS`` is ``twice[j] // FS - twice[k] // FS``,
-    less one where ``rem[j] < rem[k]``, so the replica is low
-    (``_low_half``) where ``low[j] ^ low[k] ^ (rem[j] < rem[k])``; its
-    samples sum to an integer, so its count of low ones gives its mean
-    exactly."""
-    (low, rem), m = halves, yz.size
+def _exact_scores(halves: tuple, lags: np.ndarray,
+                  rf_low: np.ndarray) -> np.ndarray:
+    """The exact Pearson correlation of ``fsk_modulate`` of the ``m =
+    rf_low.size`` reference bits from each lag k on against the +/-1
+    reflection that is low where ``rf_low`` is set.  Bits are samples at the
+    RF rate, so the replica's doubled phase is ``twice[k:k + m] -
+    twice[k]``.  With ``low`` and ``rem`` the memo's ``halves`` (``twice //
+    FS`` odd, ``twice % FS``), its floor over ``FS`` is ``twice[j] // FS -
+    twice[k] // FS``, less one where ``rem[j] < rem[k]``, so the replica is
+    low (``_low_half``) where ``low[j] ^ low[k] ^ (rem[j] < rem[k])``.
+
+    Both waves are +/-1, so their score follows from three integers: their
+    sums ``Sx`` and ``Sy`` and the sum of their product ``Sxy``, which is
+    ``m`` less twice the samples where they differ.  It is ``(m Sxy - Sx
+    Sy) / sqrt((m**2 - Sx**2) (m**2 - Sy**2))``, the polarity-coincidence
+    correlator, with every term exact up to the product under the root
+    (``m <= REFERENCE_SAMPLES_MAX``, so ``m**2 < 2**53``).  A perfect match
+    scores exactly 1.0, as ``sqrt(fl(a * a)) == a``; two constant waves
+    score 1.0, and a constant one against a varying one 0.0."""
+    (low, rem), m = halves, rf_low.size
+    sy = m - 2 * int(np.count_nonzero(rf_low))
+    b = float(m * m - sy * sy)
     scores = np.empty(len(lags))
     for i, k in enumerate(lags):
         lows = np.less(rem[k:k + m], rem[k]) ^ low[k:k + m] ^ low[k]
-        mean = (m - 2 * int(np.count_nonzero(lows))) / m
-        xz = np.array((1.0 - mean, -1.0 - mean)).take(lows.view(np.uint8))
-        scores[i] = _centred_pearson(xz, yz, ey2)
+        sx = m - 2 * int(np.count_nonzero(lows))
+        sxy = m - 2 * int(np.count_nonzero(
+            np.bitwise_xor(lows, rf_low, out=lows)))
+        a = float(m * m - sx * sx)
+        if a == 0.0 or b == 0.0:
+            scores[i] = float(a == b)
+        else:
+            score = (m * sxy - sx * sy) / math.sqrt(a * b)
+            scores[i] = min(1.0, max(-1.0, score))
     return scores
 
 
@@ -653,6 +684,6 @@ def xcorr_offset(reference: Waveform, segment: Waveform) -> tuple[float, float]:
         )
     # Pearson scores ignore scale: with each signal at its own power of two,
     # every term of a score scales by an exact power of two, and the
-    # exponents ``_centred_pearson`` splits off shift by even amounts
+    # exponents ``pearson_window`` splits off shift by even amounts
     x = _unit_scale(x)
     return _locate(x, _window_stats(x, m), y, rate_x)

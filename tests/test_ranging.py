@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -542,30 +543,82 @@ def test_backscatter_locator_matches_exhaustive_replica_oracle(
     assert r.peak == pytest.approx(scores[lag], abs=1e-12)
 
 
+def _pearson_at_most(num, ab, q):
+    """Whether ``num / sqrt(ab)`` is at most ``q``, exactly, for integers
+    ``num`` and ``ab > 0`` and a ``Fraction`` ``q``."""
+    if num <= 0 <= q:
+        return True
+    if num > 0:
+        return q > 0 and num * num <= q * q * ab
+    return q < 0 and num * num >= q * q * ab
+
+
 @pytest.mark.parametrize("m", [1, 2, 1000])
 def test_replicas_match_the_modulator_at_every_lag(short_modulated, m):
-    # each exact score is pearson_window's on the modulator's own replica
+    # each exact score is the Pearson correlation of the modulator's own
+    # replica with the reflection, to within 2 ulp of its exact value
     rate = FSK.sample_rate
     timeline = dataclasses.replace(SHORT_TIMELINE, capture_duration=m / rate)
     matched = signals._backscatter_reference(
         *_memo_key(SHORT_CHIRP, timeline, rate), FSK, 0.0)
-    cycles, lags = matched[1], matched[4]
     replicas = (short_modulated if short_modulated.shape[1] == m
                 else _modulated_replicas(m))
-    assert replicas.shape == (lags, m) == (SHORT_LAGS, m)
+    assert replicas.shape == (matched.lags, m) == (SHORT_LAGS, m)
 
     # a noisy reflection, so that no score is a degenerate 0 or 1
     window = _captured_full_chirp(
         SHORT_CHIRP, AcousticChannel(distance=0.05, noise_std=0.3,
                                      rng_seed=3), timeline, rate)
     rf = fsk_modulate(one_bit_quantize(window), FSK).samples
+    got = signals._exact_scores(matched.halves, np.arange(matched.lags),
+                                rf < 0)
+
+    # sums of +/-1 samples are exact integers in any order
+    sy = int(rf.sum())
+    b = m * m - sy * sy
+    for score, sx, sxy in zip(got.tolist(), replicas.sum(axis=1).tolist(),
+                              (replicas @ rf).tolist()):
+        a = m * m - int(sx) * int(sx)
+        if a * b == 0:
+            assert score == (1.0 if a == b else 0.0)
+            continue
+        num = m * int(sxy) - int(sx) * sy
+        width = 2 * Fraction(math.ulp(score))
+        assert _pearson_at_most(num, a * b, Fraction(score) + width)
+        assert _pearson_at_most(-num, a * b, width - Fraction(score))
+
     rfz, ey2 = signals._centred(rf)
     expected = np.array([pearson_window(replica, 0, rfz, ey2)
                          for replica in replicas])
-    got = signals._exact_scores(cycles, np.arange(lags), rfz, ey2)
-    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+    assert np.max(np.abs(got - expected)) <= 1e-14
     if m > 2:
-        assert len(np.unique(expected)) > 1000
+        assert len(np.unique(got)) > 1000
+    # a reflection equal to a replica scores exactly 1.0
+    for k in (0, matched.lags // 2, matched.lags - 1):
+        assert signals._exact_scores(matched.halves, [k],
+                                     replicas[k] < 0)[0] == 1.0
+
+
+def test_an_exact_tie_goes_to_the_smaller_lag(monkeypatch):
+    # the default grid's 2.0 m exchange at noise 0.02 scores two adjacent
+    # lags from equal counts; float sums once broke the tie toward 141305
+    cfg = load_config(sets=["channel.noise_std=0.02"])
+    heard = []
+    locate = ranging._locate_backscatter
+
+    def recording(matched, rf, rate):
+        heard.append((matched, rf))
+        return locate(matched, rf, rate)
+
+    monkeypatch.setattr(ranging, "_locate_backscatter", recording)
+    r = simulate_ranging(cfg.chirp, cfg.channel_at(2.0, seed_offset=3),
+                         cfg.timeline, mode="one-bit-backscatter",
+                         fsk=cfg.fsk, threshold=cfg.comparator_threshold)
+    (matched, rf), = heard
+    tied = signals._exact_scores(matched.halves, np.array([141304, 141305]),
+                                 rf < 0)
+    assert tied[0].hex() == tied[1].hex() == r.peak.hex()
+    assert r.lag * cfg.fsk.sample_rate == 141304
 
 
 def _default_exchange(cfg):
@@ -587,13 +640,14 @@ def _warm_peak(exchange):
         tracemalloc.stop()
 
 
-def test_warm_default_exchange_peaks_under_6_mb():
-    # rescoring every shortlisted lag at once peaked at 12.2 MB, and a scan
+def test_warm_default_exchange_peaks_under_2_2_mb():
+    # rescoring every shortlisted lag at once peaked at 12.2 MB, a scan
     # that allocated its products per block, over the whole propagated
-    # reference, at 6.1 MB
+    # reference, at 6.1 MB, and one that kept the reflection's real FFT
+    # alive beside its block buffer at 2.25 MB
     cfg = load_config()
     _, peak = _warm_peak(lambda: _default_exchange(cfg))
-    assert peak < 6e6
+    assert peak < 2.2e6
 
 
 def test_a_library_reference_past_its_limit_is_refused_before_allocating():
@@ -643,39 +697,39 @@ def test_a_far_echo_costs_no_memory_and_moves_no_bit(noise):
 GOLDEN_DISTANCES = (0.5, 1.3, 2.2, 3.2, 4.5, 5.9)
 GOLDEN = {
     "noise-0.05": (["channel.noise_std=0.05"], [
-        ("0x1.2e9d36dd0bdf3p-6", "0x1.d7dc0a0f4c62dp-1"),
-        ("0x1.085b18548a9bdp-6", "0x1.c56d5f828ffe0p-1"),
-        ("0x1.c38cb22a8a174p-7", "0x1.a12d7ab8f37c4p-1"),
-        ("0x1.56f9e1d8cd8c1p-7", "0x1.76c8b6305ee25p-1"),
-        ("0x1.ce52deca2552ap-8", "0x1.458792cd054e6p-1"),
+        ("0x1.2e9d36dd0bdf3p-6", "0x1.d7dc0a0f4c638p-1"),
+        ("0x1.085b18548a9bdp-6", "0x1.c56d5f828ffcep-1"),
+        ("0x1.c38cb22a8a174p-7", "0x1.a12d7ab8f37d2p-1"),
+        ("0x1.56f9e1d8cd8c1p-7", "0x1.76c8b6305ee19p-1"),
+        ("0x1.ce52deca2552ap-8", "0x1.458792cd054cbp-1"),
         ("0x1.75048edaf9b64p-9", "0x1.b6ae7d566cf42p-1"),
     ]),
     "noise-0.1": (["channel.noise_std=0.1"], [
-        ("0x1.2cd47460faecap-6", "0x1.906256387d824p-1"),
-        ("0x1.0ad03d9a95422p-6", "0x1.c0b788c91e1dcp-1"),
-        ("0x1.c0ff3930a3360p-7", "0x1.a872bf69d3eddp-1"),
-        ("0x1.56f9e1d8cd8c1p-7", "0x1.617cbf44473f5p-1"),
-        ("0x1.ba5c87c05341cp-8", "0x1.55b571afad19bp-1"),
-        ("0x1.62896213f14e9p-9", "0x1.251207d2e2bedp-1"),
+        ("0x1.2cd47460faecap-6", "0x1.906256387d820p-1"),
+        ("0x1.0ad03d9a95422p-6", "0x1.c0b788c91e1b3p-1"),
+        ("0x1.c0ff3930a3360p-7", "0x1.a872bf69d3ee8p-1"),
+        ("0x1.56f9e1d8cd8c1p-7", "0x1.617cbf44473fdp-1"),
+        ("0x1.ba5c87c05341cp-8", "0x1.55b571afad1abp-1"),
+        ("0x1.62896213f14e9p-9", "0x1.251207d2e2bffp-1"),
     ]),
     "echo-interpolated": ([
         "channel.multipath=[[0.0005, 0.5]]",
         "channel.interpolate_delays=true"], [
-        ("0x1.2f3f88ac0b8c2p-6", "0x1.f03afa00e646fp-1"),
-        ("0x1.08eaf5acbfe71p-6", "0x1.e7d5695e04516p-1"),
-        ("0x1.bab649d388a8bp-7", "0x1.f0a3d985e53bdp-1"),
-        ("0x1.598c63503170cp-7", "0x1.e92a361a6ce8dp-1"),
-        ("0x1.d10ccd6ddc7c7p-8", "0x1.bf2e496d1c834p-1"),
-        ("0x1.8de53070e113bp-9", "0x1.c2a9985cd5699p-1"),
+        ("0x1.2f3f88ac0b8c2p-6", "0x1.f03afa00e648cp-1"),
+        ("0x1.08eaf5acbfe71p-6", "0x1.e7d5695e04507p-1"),
+        ("0x1.bab649d388a8bp-7", "0x1.f0a3d985e5388p-1"),
+        ("0x1.598c63503170cp-7", "0x1.e92a361a6ce91p-1"),
+        ("0x1.d10ccd6ddc7c7p-8", "0x1.bf2e496d1c849p-1"),
+        ("0x1.8de53070e113bp-9", "0x1.c2a9985cd569cp-1"),
     ]),
     "capture-4ms": ([
         "timeline.capture_duration_s=0.004", "channel.noise_std=0.05"], [
-        ("0x1.2fcc7665b7eacp-6", "0x1.acf41ae01493fp-1"),
-        ("0x1.086020d2079f3p-6", "0x1.6a4aa4445352ep-1"),
-        ("0x1.bfab7c1a2cd1fp-7", "0x1.590ffafee0937p-1"),
-        ("0x1.5c53bded35f8ep-7", "0x1.e28f5ba0f1a07p-2"),
-        ("0x1.b526bdd9eac28p-8", "0x1.73ddb40b1ade3p-2"),
-        ("0x1.6ed4c9f15039dp-9", "0x1.51e4f7888e42cp-1"),
+        ("0x1.2fcc7665b7eacp-6", "0x1.acf41ae01495ep-1"),
+        ("0x1.086020d2079f3p-6", "0x1.6a4aa444534d9p-1"),
+        ("0x1.bfab7c1a2cd1fp-7", "0x1.590ffafee097cp-1"),
+        ("0x1.5c53bded35f8ep-7", "0x1.e28f5ba0f199cp-2"),
+        ("0x1.b526bdd9eac28p-8", "0x1.73ddb40b1adbdp-2"),
+        ("0x1.6ed4c9f15039dp-9", "0x1.51e4f7888e467p-1"),
     ]),
 }
 GOLDEN_CHILD = """
@@ -694,10 +748,12 @@ for i, d in enumerate(json.loads(sys.argv[2])):
 def _golden_bits(mode, sets):
     """float.hex of (lag, peak) at GOLDEN_DISTANCES from a fresh child.
 
-    OpenBLAS splits a dot product of more than 10,000 samples across its
-    threads, so a capture that long scores with bits that follow the thread
-    count; a child held to one thread, as the benchmark holds itself, scores
-    the same bits on any host.
+    An ideal-audio score takes its dot products from OpenBLAS, which splits
+    one of more than 10,000 samples across its threads, so a capture that
+    long scores with bits that follow the thread count; the child is held
+    to one thread, as the benchmark holds itself.  One-bit scores are
+    integer counts, which the pin does not reach.  The child inherits the
+    rest of the environment, so an ``OPENBLAS_CORETYPE`` reaches it.
     """
     src = os.path.dirname(os.path.dirname(chirploc.__file__))
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
@@ -980,20 +1036,37 @@ def _scan_case(timeline):
     return matched, rf - rf.mean()
 
 
+def _conj_spectrum(rfz, size):
+    """The conjugate ``size``-point spectrum of the real ``rfz``, from its
+    real FFT: conjugated bins up to the middle, then Hermitian symmetry."""
+    half = np.fft.rfft(rfz, size)
+    return np.concatenate((np.conj(half), half[size - half.size:0:-1]))
+
+
+# an even and an odd 5-smooth size, each past the 5000-sample reflection
+@pytest.mark.parametrize("size", [6000, 6075])
+def test_real_fft_extension_is_the_conjugate_spectrum(size):
+    _, rfz = _scan_case(ONE_BLOCK_TIMELINE)
+    exact = np.conj(np.fft.fft(rfz, size))
+    got = _conj_spectrum(rfz, size)
+    assert got.shape == exact.shape
+    assert np.max(np.abs(got - exact)) <= 1e-12 * np.max(np.abs(exact))
+
+
 @pytest.mark.parametrize("timeline, n_blocks", [
     (BLOCKED_TIMELINE, 4), (ONE_BLOCK_TIMELINE, 1)], ids=["four", "one"])
 def test_blocked_scan_matches_a_full_length_scan(timeline, n_blocks):
     matched, rfz = _scan_case(timeline)
-    reference, _, _, step, lags, spectra = matched[:6]
-    assert len(spectra) == n_blocks == -(-lags // step)
+    step, lags = matched.step, matched.lags
+    assert len(matched.spectra) == n_blocks == -(-lags // step)
     shortlist, scores = signals._scan(matched, rfz, range(n_blocks))
 
     # the oracle: one circular correlation over the whole reference
-    ref_bits = one_bit_quantize(reference)
+    ref_bits = one_bit_quantize(matched.reference)
     full = signals.fft_size(len(ref_bits))
     twice, fs = _carrier_phase(ref_bits, FSK)
     phase = twice / (2 * fs)
-    rf_spec = np.conj(np.fft.fft(rfz, full))
+    rf_spec = _conj_spectrum(rfz, full)
     expected = np.zeros(lags)
     for h in signals.HARMONICS:
         tone = np.exp(2j * np.pi * h * phase)
@@ -1014,12 +1087,13 @@ def test_blocked_scan_matches_a_full_length_scan(timeline, n_blocks):
                          ids=["four", "one"])
 def test_scan_matches_a_serial_block_loop_bit_for_bit(timeline):
     matched, rfz = _scan_case(timeline)
-    shortlist, scores = signals._scan(matched, rfz, range(len(matched[5])))
+    shortlist, scores = signals._scan(matched, rfz, _all_blocks(matched, rfz))
 
     # every block, each keeping its best lags, merged in block order
-    size, step, lags, spectra, rotations = matched[2:7]
+    size, step, lags = matched.size, matched.step, matched.lags
+    spectra, rotations = matched.spectra, matched.rotations
     take = signals.RESCORED_LAGS
-    rf_spec = np.conj(np.fft.fft(rfz, size))
+    rf_spec = _conj_spectrum(rfz, size)
     all_lags, all_scores = [], []
     for b, start in enumerate(range(0, lags, step)):
         kept_lags = slice(start, min(start + step, lags))
@@ -1042,7 +1116,7 @@ def test_scan_matches_a_serial_block_loop_bit_for_bit(timeline):
 
 def _all_blocks(matched, rf):
     """A ``_coarse_blocks`` that hands ``_scan`` every block."""
-    return range(len(matched[5]))
+    return range(len(matched.spectra))
 
 
 def test_scan_runs_on_the_calling_thread_over_at_most_3_of_10_blocks(
@@ -1092,7 +1166,7 @@ def _record_blocks(monkeypatch):
 
     def recording(matched, rf):
         blocks = coarse_blocks(matched, rf)
-        scanned.append((len(blocks), len(matched[5])))
+        scanned.append((len(blocks), len(matched.spectra)))
         return blocks
 
     monkeypatch.setattr(signals, "_coarse_blocks", recording)
