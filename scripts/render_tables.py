@@ -16,9 +16,11 @@ show that a change keeps them:
 import os
 
 # OpenBLAS splits a dot product of more than 10,000 samples across its
-# threads, so the peaks of a 4 ms capture follow the thread count.  One
-# thread, set before numpy loads, as in the golden-bit tests and the
-# benchmark, makes every table independent of the CPUs it runs on.
+# threads, so an ideal-audio peak over a longer capture would follow the
+# thread count.  No table here takes such a dot: one-bit scores are integer
+# counts, and the longest ideal-audio capture is 768 samples.  One thread,
+# set before numpy loads, as in the golden-bit tests and the benchmark,
+# keeps every table independent of the CPUs it runs on all the same.
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import sys

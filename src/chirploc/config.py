@@ -32,8 +32,7 @@ from .energy import (
 )
 from .errors import ConfigError, ParameterError
 from .ranging import RangingTimeline
-# REFERENCE_SAMPLES_MAX, the limit _reach enforces, stays importable here
-from .signals import REFERENCE_SAMPLES_MAX, ChirpSpec, FskConfig, _reach  # noqa: F401
+from .signals import ChirpSpec, FskConfig, _reach
 from .wpt import ArraySpec, RfLink, inclusive_grid
 
 __all__ = ["DEFAULT_CONFIG", "ScenarioConfig", "load_config", "resolve_config"]

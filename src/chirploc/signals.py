@@ -285,25 +285,28 @@ def fft_size(n: int) -> int:
 
 
 def pearson_window(x: np.ndarray, k: int, yz: np.ndarray, ey2: float) -> float:
-    """Exact Pearson correlation of x[k:k+m] against a pre-centred segment.
+    """The exact ``_pearson`` score of x[k:k+m] against a centred segment.
 
     ``yz`` and ``ey2`` are the segment and its energy as ``_centred`` gives
     them, so a caller scoring one segment at many lags centres it once.
     """
-    xz = _centre(x[k:k + yz.size])
-    a = float(np.dot(xz, xz))
-    if a == 0.0 and ey2 == 0.0:
-        return 1.0
-    if a == 0.0 or ey2 == 0.0:
-        return 0.0
-    # sqrt(fl(a*a)) == a in IEEE double, so a perfect match is exactly 1.0.
-    # Scaling each factor by an even power of two first is exact and keeps
-    # the product clear of underflow and overflow.
-    ea, ee = math.frexp(a)[1] & ~1, math.frexp(ey2)[1] & ~1
+    xz, a = _centred(x[k:k + yz.size])
+    return _pearson(float(np.dot(xz, yz)), a, ey2)
+
+
+def _pearson(num: float, a: float, b: float) -> float:
+    """The Pearson score of covariance ``num`` over energies ``a`` and
+    ``b``: ``num / sqrt(a * b)`` clamped to [-1, 1].  Two zero energies
+    score 1.0, and one zero energy 0.0.  ``sqrt(fl(c * c)) == c`` in IEEE
+    double, so a perfect match scores exactly 1.0; scaling each energy by
+    an even power of two first is exact and keeps the product clear of
+    underflow and overflow."""
+    if a == 0.0 or b == 0.0:
+        return float(a == b)
+    ea, eb = math.frexp(a)[1] & ~1, math.frexp(b)[1] & ~1
     denom = math.ldexp(
-        math.sqrt(math.ldexp(a, -ea) * math.ldexp(ey2, -ee)), (ea + ee) // 2)
-    peak = float(np.dot(xz, yz)) / denom
-    return min(1.0, max(-1.0, peak))
+        math.sqrt(math.ldexp(a, -ea) * math.ldexp(b, -eb)), (ea + eb) // 2)
+    return min(1.0, max(-1.0, num / denom))
 
 
 def _centre(v: np.ndarray) -> np.ndarray:
@@ -624,12 +627,10 @@ def _exact_scores(halves: tuple, lags: np.ndarray,
 
     Both waves are +/-1, so their score follows from three integers: their
     sums ``Sx`` and ``Sy`` and the sum of their product ``Sxy``, which is
-    ``m`` less twice the samples where they differ.  It is ``(m Sxy - Sx
-    Sy) / sqrt((m**2 - Sx**2) (m**2 - Sy**2))``, the polarity-coincidence
-    correlator, with every term exact up to the product under the root
-    (``m <= REFERENCE_SAMPLES_MAX``, so ``m**2 < 2**53``).  A perfect match
-    scores exactly 1.0, as ``sqrt(fl(a * a)) == a``; two constant waves
-    score 1.0, and a constant one against a varying one 0.0."""
+    ``m`` less twice the samples where they differ.  It is ``_pearson(m Sxy
+    - Sx Sy, m**2 - Sx**2, m**2 - Sy**2)``, the polarity-coincidence
+    correlator, with every term exact (``m <= REFERENCE_SAMPLES_MAX``, so
+    ``m**2 < 2**53``)."""
     (low, rem), m = halves, rf_low.size
     sy = m - 2 * int(np.count_nonzero(rf_low))
     b = float(m * m - sy * sy)
@@ -639,12 +640,7 @@ def _exact_scores(halves: tuple, lags: np.ndarray,
         sx = m - 2 * int(np.count_nonzero(lows))
         sxy = m - 2 * int(np.count_nonzero(
             np.bitwise_xor(lows, rf_low, out=lows)))
-        a = float(m * m - sx * sx)
-        if a == 0.0 or b == 0.0:
-            scores[i] = float(a == b)
-        else:
-            score = (m * sxy - sx * sy) / math.sqrt(a * b)
-            scores[i] = min(1.0, max(-1.0, score))
+        scores[i] = _pearson(m * sxy - sx * sy, float(m * m - sx * sx), b)
     return scores
 
 
@@ -684,6 +680,6 @@ def xcorr_offset(reference: Waveform, segment: Waveform) -> tuple[float, float]:
         )
     # Pearson scores ignore scale: with each signal at its own power of two,
     # every term of a score scales by an exact power of two, and the
-    # exponents ``pearson_window`` splits off shift by even amounts
+    # exponents ``_pearson`` splits off shift by even amounts
     x = _unit_scale(x)
     return _locate(x, _window_stats(x, m), y, rate_x)

@@ -14,11 +14,10 @@ import pytest
 from chirploc import (AcousticChannel, ArraySpec, FskConfig, HarvesterSpec,
                       RangingTimeline, ReceiveWindow, RfLink, StartupPlan)
 from chirploc.cli import COMMANDS, main
-from chirploc.config import (DEFAULT_CONFIG, REFERENCE_SAMPLES_MAX, load_config,
-                             resolve_config)
+from chirploc.config import DEFAULT_CONFIG, load_config, resolve_config
 from chirploc.errors import ConfigError, ParameterError
-from chirploc.signals import (_audio_reference, _backscatter_reference, _reach,
-                              _reachable)
+from chirploc.signals import (REFERENCE_SAMPLES_MAX, _audio_reference,
+                              _backscatter_reference, _reach, _reachable)
 from chirploc.tables import ResultTable
 from chirploc.wpt import _gains, inclusive_grid
 

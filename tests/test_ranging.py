@@ -516,9 +516,18 @@ def short_modulated():
 
 
 @pytest.fixture(scope="module")
-def short_replicas(short_modulated):
-    """The modulator's replicas, centred."""
-    return short_modulated - short_modulated.mean(axis=1, keepdims=True)
+def short_signs(short_modulated):
+    """The modulator's +/-1 replicas as integers."""
+    signs = short_modulated.astype(np.int64)
+    assert np.array_equal(signs, short_modulated)
+    return signs
+
+
+def _signed_square(num, ab):
+    """``num / sqrt(ab)`` squared with its sign, as an exact ``Fraction``:
+    it orders scores as they are, and comparing two of them compares
+    cross-multiplied squares."""
+    return Fraction(num * abs(num), ab)
 
 
 @pytest.mark.parametrize("distance, interpolate", [
@@ -527,20 +536,31 @@ def short_replicas(short_modulated):
     (0.0417, True), (0.1033, True), (0.1495, True),
 ])
 def test_backscatter_locator_matches_exhaustive_replica_oracle(
-        short_replicas, distance, interpolate):
+        short_signs, distance, interpolate):
     rate = FSK.sample_rate
     ch = AcousticChannel(distance=distance, interpolate_delays=interpolate)
     r = simulate_ranging(SHORT_CHIRP, ch, SHORT_TIMELINE,
                          mode="one-bit-backscatter", fsk=FSK)
 
     window = _captured_full_chirp(SHORT_CHIRP, ch, SHORT_TIMELINE, rate)
-    rf = fsk_modulate(one_bit_quantize(window), FSK).samples
-    rfz = rf - rf.mean()
-    scores = (short_replicas @ rfz) / np.sqrt(
-        np.einsum("ij,ij->i", short_replicas, short_replicas) * (rfz @ rfz))
+    rf = fsk_modulate(one_bit_quantize(window), FSK).samples.astype(np.int64)
+    # every lag's Pearson score, as the integers (num, ab) of num /
+    # sqrt(ab), from the exact sums of the +/-1 waves (an integer matmul
+    # takes no BLAS), ranked exactly, with exact ties going to the smallest
+    # lag
+    m, sy = rf.size, int(rf.sum())
+    b = m * m - sy * sy
+    scores = []
+    for sx, sxy in zip(short_signs.sum(axis=1).tolist(),
+                       (short_signs @ rf).tolist()):
+        a = m * m - sx * sx
+        scores.append((m * sxy - sx * sy, a * b) if a * b
+                      else (int(a == b), 1))
+    best = max(range(len(scores)), key=lambda k: _signed_square(*scores[k]))
     lag = int(round(r.lag * rate))
-    assert lag == int(np.argmax(scores))
-    assert r.peak == pytest.approx(scores[lag], abs=1e-12)
+    assert lag == best
+    num, ab = scores[best]
+    assert r.peak == pytest.approx(num / math.sqrt(ab), abs=1e-12)
 
 
 def _pearson_at_most(num, ab, q):

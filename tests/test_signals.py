@@ -22,9 +22,11 @@ from chirploc import (
     xcorr_offset,
 )
 from chirploc.signals import (
+    REFERENCE_SAMPLES_MAX,
     _carrier_phase,
     _centred,
     _low_half,
+    _pearson,
     _sliding_pearson,
     _window_stats,
     pearson_window,
@@ -519,6 +521,45 @@ def test_sliding_pearson_matches_exact_windows(m, fft):
     exact = _exact_pearson(x, y)
     assert int(np.argmax(corr)) == int(np.argmax(exact)) == k
     assert np.allclose(corr, exact, rtol=0.0, atol=1e-9)
+
+
+def test_pearson_zero_energies():
+    # two zero energies score 1.0 and one zero energy 0.0, whatever the
+    # covariance
+    assert _pearson(0.0, 0.0, 0.0) == 1.0
+    assert _pearson(0.0, 0.0, 2.5) == 0.0
+    assert _pearson(0.0, 2.5, 0.0) == 0.0
+    assert _pearson(-3, 0.0, 4.0) == 0.0
+
+
+@pytest.mark.parametrize("c", [1e-300, 3e-301, 1e300, 7e299])
+def test_pearson_perfect_match_is_exactly_one_at_extreme_energies(c):
+    # num * num == a * b, where the plain root of a * b underflows or
+    # overflows
+    assert math.sqrt(c * c) in (0.0, math.inf)
+    for a, b in ((c, c), (4 * c, c / 4), (c / 16, 16 * c)):
+        assert _pearson(c, a, b) == 1.0
+        assert _pearson(-c, a, b) == -1.0
+
+
+def test_pearson_keeps_the_plain_root_on_integer_sums():
+    # a one-bit score comes from the integer sums of m +/-1 samples, whose
+    # nonzero energies lie in [4, m**2]: there the scaled root is the plain
+    # one, bit for bit, so no one-bit score can move
+    rng = np.random.default_rng(27)
+    ms = np.exp(rng.uniform(math.log(2), math.log(REFERENCE_SAMPLES_MAX),
+                            3000)).astype(np.int64)
+    for m in [2, 3, REFERENCE_SAMPLES_MAX, *ms.tolist()]:
+        # one to m - 1 flipped samples keep each energy nonzero
+        for fx, fy, fxy in [(1, m - 1, 1),
+                            *rng.integers(1, m, size=(3, 3)).tolist()]:
+            sx, sy, sxy = m - 2 * fx, m - 2 * fy, m - 2 * fxy
+            num = m * sxy - sx * sy
+            a, b = float(m * m - sx * sx), float(m * m - sy * sy)
+            plain = min(1.0, max(-1.0, num / math.sqrt(a * b)))
+            assert _pearson(num, a, b).hex() == plain.hex()
+            # a reflection equal to its replica
+            assert _pearson(m * m - sx * sx, a, a) == 1.0
 
 
 def test_xcorr_peak_stays_in_unit_interval():
