@@ -14,8 +14,12 @@ slip.  Each one-bit noise level takes a few seconds:
 
 import os
 
-# One BLAS thread, set before numpy loads, as in the tables and the
-# benchmark: a 4 ms capture's peaks follow the thread count.
+# OpenBLAS splits a dot product of more than 10,000 samples across its
+# threads, so an ideal-audio peak over a longer capture would follow the
+# thread count.  No exchange here takes such a dot: the default 1 ms capture
+# is 192 ideal-audio samples, and one-bit scores are integer counts.  One
+# thread, set before numpy loads, as in the tables and the benchmark, keeps
+# every rate independent of the CPUs it runs on all the same.
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np

@@ -9,7 +9,9 @@ once (``_scan``), over the overlap-save blocks that a coarse locate of the
 carrier's advance picks (``_coarse_blocks``), then rescores the best lags
 exactly (``_exact_scores``).  The reflection and every replica are +/-1
 waves, so each exact score follows from three integer counts, and no
-one-bit score depends on how a BLAS library orders its sums.
+one-bit score depends on how a BLAS library orders its sums.  The scan runs
+in single precision: it only picks the lags that exact rescoring decides
+between.
 
 Nothing here draws random numbers.  ``_audio_reference`` and
 ``_backscatter_reference`` memoize each locator's reference side, which
@@ -399,8 +401,8 @@ def _locate(x: np.ndarray, ex2: np.ndarray, y: np.ndarray,
 
 
 # The most chirp samples a capture may reach at either rate.  The one-bit
-# reference memo keeps about 92 bytes per sample, so 2,000,000 is some
-# 185 MB; a capture that reaches further is refused before any is built.
+# reference memo keeps about 48 bytes per sample, so 2,000,000 is some
+# 97 MB; a capture that reaches further is refused before any is built.
 REFERENCE_SAMPLES_MAX = 2_000_000
 
 
@@ -467,12 +469,13 @@ def _backscatter_reference(chirp: ChirpSpec, delay: float, window,
     modulator's carrier phase ``twice / (2 FS)``, correctly rounded, and h
     the i-th of ``HARMONICS``, ``spectra[b, i]`` is the ``size``-point FFT
     of ``exp(2 pi i h P)`` from sample ``b * step`` on, and ``rotations[i] =
-    conj(exp(2 pi i h P[:lags]))``.  ``coarse`` is ``_coarse_blocks``'
+    conj(exp(2 pi i h P[:lags]))``, both complex64, each computed in double
+    precision and rounded once.  ``coarse`` is ``_coarse_blocks``'
     reference: the advance of ``P`` over each ``COARSE_BIN`` samples from
     sample 0 on, and its ``_window_stats`` for the ``_coarse_bins(m)`` bins
     a capture keeps, or None when it keeps none.  Blocks follow the capture
     length alone: ``size = min(fft_size(3 m), fft_size(n))``.  Only the last
-    config is kept, about 19 MB at the defaults; every array is read-only,
+    config is kept, about 10 MB at the defaults; every array is read-only,
     so no exchange can change what a later one reads.
     """
     reference = _reachable(chirp, delay, window)
@@ -487,17 +490,20 @@ def _backscatter_reference(chirp: ChirpSpec, delay: float, window,
     size = min(fft_size(3 * m), fft_size(n))
     step = size - m + 1
     tones = np.array([np.exp(2j * np.pi * h * phase) for h in HARMONICS])
-    spectra = np.array([np.fft.fft(tones[:, start:start + size], size)
-                        for start in range(0, lags, step)])
+    # each block's spectrum is rounded once, from double into single, so
+    # the memo never holds both precisions of every block at once
+    spectra = np.empty((-(-lags // step), len(HARMONICS), size), np.complex64)
+    for b, block in enumerate(spectra):
+        block[:] = np.fft.fft(tones[:, b * step:b * step + size], size)
     coarse = None
-    bins = _coarse_bins(m)
-    if bins > 0:
+    if (bins := _coarse_bins(m)) > 0:
         advance = _readonly(np.diff(phase[::COARSE_BIN]))
         coarse = (advance, _readonly(_window_stats(advance, bins)))
     halves = _low_half(twice, fs), (twice % fs).astype(np.min_scalar_type(fs))
+    rotations = np.conj(tones[:, :lags], dtype=np.complex64)
     return BackscatterReference(
         reference, tuple(map(_readonly, halves)), size, step, lags,
-        _readonly(spectra), _readonly(np.conj(tones[:, :lags])), coarse)
+        _readonly(spectra), _readonly(rotations), coarse)
 
 
 def _coarse_bins(m: int) -> int:
@@ -561,16 +567,28 @@ def _scan(matched: BackscatterReference, rfz: np.ndarray,
     start phase and weighted by 1/h.  The blocks run one after another on
     the calling thread, in one ``(len(HARMONICS), size)`` buffer, and their
     kept lags merge in block order.
+
+    The scan runs in single precision, with complex64 transforms and
+    float32 scores.  Single precision suffices because the scan only ranks:
+    its truncated series drops about a tenth of the replica's energy, which
+    the ``RESCORED_LAGS`` margin absorbs, while a float32 FFT's rounding
+    stays near log2(size) unit roundoffs (Higham, Accuracy and Stability
+    of Numerical Algorithms, 2nd ed., 2002, Thm 24.2), some five orders of
+    magnitude below it, and exact rescoring decides the answer and its
+    peak.  Every input is a +/-1 wave or a unit tone, so no amplitude or
+    noise level can take a value out of float32's range.  The scores'
+    last bits follow numpy's SIMD dispatch, which fuses the complex
+    multiply-adds on some CPUs and not on others.
     """
     size, step, lags = matched.size, matched.step, matched.lags
-    half = np.fft.rfft(rfz, size)
+    half = np.fft.rfft(rfz.astype(np.float32), size)
     rf_spec = np.concatenate((np.conj(half), half[size - half.size:0:-1]))
     del half  # before the block buffer, which sets the exchange's peak
     # the square wave is 4/pi times the sum of sin(2 pi h theta) / h; the
     # fundamental's row, h = 1, needs no division
-    weights = np.array(HARMONICS[1:], dtype=float)[:, None]
-    buf = np.empty((len(HARMONICS), size), dtype=complex)
-    score = np.empty(step)
+    weights = np.array(HARMONICS[1:], dtype=np.float32)[:, None]
+    buf = np.empty((len(HARMONICS), size), dtype=np.complex64)
+    score = np.empty(step, dtype=np.float32)
     shortlist, scores = [], []
     for b in blocks:
         start = b * step
@@ -585,16 +603,16 @@ def _scan(matched: BackscatterReference, rfz: np.ndarray,
         shortlist.append(best + start)
         scores.append(block[best])
     shortlist, scores = np.concatenate(shortlist), np.concatenate(scores)
+    # the blocks' lags ascend, so the indices of the best ascend in lag too
     best = _best(scores)
-    best = best[np.argsort(shortlist[best])]
     return shortlist[best], scores[best]
 
 
 def _best(scores: np.ndarray) -> np.ndarray:
-    """Indices of the ``RESCORED_LAGS`` highest scores, or of all of them:
-    a copy, so the whole ``argpartition`` is freed at once."""
+    """Indices of the ``RESCORED_LAGS`` highest scores, or of all of them,
+    in ascending order."""
     take = min(RESCORED_LAGS, len(scores))
-    return np.argpartition(scores, -take)[-take:].copy()
+    return np.sort(np.argpartition(scores, -take)[-take:])
 
 
 def _locate_backscatter(matched: BackscatterReference, rf: np.ndarray,
