@@ -85,7 +85,7 @@ def verify(points: list[tuple[float, float]], cfg) -> None:
                            getattr(ChargeScenario, kind)(harvester),
                            harvester_output(p_in, harvester))
 
-    t_initial = charge("initial", cfg.grid())
+    t_initial = charge("initial", cfg.grid)
     ratios = t_initial[1:] / t_initial[:-1]
     t_initial_4p5, t_update_6 = charge("initial", 4.5), charge("update", 6.0)
 

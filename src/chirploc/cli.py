@@ -43,15 +43,10 @@ EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
 
-def _scenarios(cfg: ScenarioConfig) -> list[ChargeScenario]:
-    kinds = ("initial", "update") if cfg.scenario == "both" else (cfg.scenario,)
-    return [getattr(ChargeScenario, kind)(cfg.harvester) for kind in kinds]
-
-
 def _grid_powers(cfg: ScenarioConfig):
     """The grid's distances, and the RF input (dBm) and harvested power (W)
     at each, one column each."""
-    distances = cfg.grid()
+    distances = cfg.grid
     p_in = friis_received_power(replace(cfg.link, distance=distances))
     return distances, p_in, harvester_output(p_in, cfg.harvester)
 
@@ -69,7 +64,7 @@ def cmd_charge_curve(cfg: ScenarioConfig) -> ResultTable:
 def cmd_range(cfg: ScenarioConfig) -> ResultTable:
     table = ResultTable(
         ["true_distance_m", "est_distance_m", "abs_error_m", "corr_peak", "mode"])
-    for i, d in enumerate(cfg.range_grid()):
+    for i, d in enumerate(cfg.range_grid):
         channel = cfg.channel_at(float(d), seed_offset=i)
         for mode in MODES:
             try:
@@ -113,7 +108,7 @@ def cmd_update_rate(cfg: ScenarioConfig) -> ResultTable:
     duty, overhead = cfg.link.duty_cycle, cfg.measurement_overhead
     d, _, p = _grid_powers(cfg)
     per_scenario = []
-    for scenario in _scenarios(cfg):
+    for scenario in cfg.scenarios:
         t = charge_time(cfg.capacitance, scenario, p)
         per_scenario.append(zip(
             d.tolist(), repeat(scenario.kind), t.tolist(), repeat(duty),

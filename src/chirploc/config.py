@@ -15,7 +15,7 @@ import hashlib
 import json
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 import numpy as np
@@ -33,7 +33,7 @@ from .energy import (
 from .errors import ConfigError, ParameterError
 from .ranging import RangingTimeline
 from .signals import ChirpSpec, FskConfig, _reach
-from .wpt import ArraySpec, RfLink, inclusive_grid
+from .wpt import ArraySpec, ChargeScenario, RfLink, inclusive_grid
 
 __all__ = ["DEFAULT_CONFIG", "ScenarioConfig", "load_config", "resolve_config"]
 
@@ -205,22 +205,21 @@ def _spec(resolved: dict, group: str, build, *keys: str, **given):
 
 
 def _grid(resolved: dict, name: str) -> np.ndarray:
-    lo, hi, step = (_read(resolved, f"{name}.{k}")
-                    for k in ("d_min_m", "d_max_m", "d_step_m"))
-    if not step > 0:
-        raise ConfigError(f"{name}.d_step_m must be positive, got {step}")
     try:
-        return inclusive_grid(lo, hi, step)
+        grid = inclusive_grid(*(_read(resolved, f"{name}.{k}")
+                                for k in ("d_min_m", "d_max_m", "d_step_m")))
     except ParameterError as exc:
         raise ConfigError(f"{name}.d_step_m: {exc}") from exc
+    grid.setflags(write=False)
+    return grid
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Typed view of a resolved configuration: ``link`` and ``channel`` sit
-    at 1 m until a table moves them (``channel_at`` for the channel)."""
+    """Typed view of a resolved configuration, every value parsed at load:
+    ``link`` and ``channel`` sit at 1 m until a table moves them
+    (``channel_at`` for the channel)."""
 
-    resolved: dict
     rng_seed: int
     chirp: ChirpSpec
     timeline: RangingTimeline
@@ -232,7 +231,10 @@ class ScenarioConfig:
     harvester: HarvesterSpec
     capacitance: float
     link: RfLink
-    scenario: str
+    # arrays do not compare with ==; config_hash pins both grids
+    grid: np.ndarray = field(compare=False)
+    range_grid: np.ndarray = field(compare=False)
+    scenarios: tuple[ChargeScenario, ...]
     measurement_overhead: float
     sweep_link: RfLink
     sweep_arrays: tuple[ArraySpec, ...]
@@ -306,10 +308,10 @@ class ScenarioConfig:
                      "frequency_hz", "p_t_dbm", "g_t_dbi", "g_r_dbi",
                      "duty_cycle", "eirp_limit_dbm")
         scenario = resolved["scenario"]
-        if scenario not in ("initial", "update", "both"):
-            raise ConfigError(
-                f"scenario must be 'initial', 'update' or 'both', got {scenario!r}"
-            )
+        kinds = [kind for kind in ("initial", "update") if scenario in (kind, "both")]
+        if not kinds:
+            raise ConfigError("scenario must be 'initial', 'update' or 'both', "
+                              f"got {scenario!r}")
         overhead = _read(resolved, "update_rate.measurement_overhead_s")
         if overhead < 0:
             raise ConfigError(
@@ -324,7 +326,6 @@ class ScenarioConfig:
             for n in _read(resolved, "sweep.n_elements",
                            lambda v: [_whole(x) for x in v]))
         return cls(
-            resolved=resolved,
             rng_seed=rng_seed,
             chirp=chirp,
             timeline=timeline,
@@ -336,7 +337,10 @@ class ScenarioConfig:
             harvester=harvester,
             capacitance=capacitance,
             link=link,
-            scenario=scenario,
+            grid=_grid(resolved, "grid"),
+            range_grid=_grid(resolved, "range_grid"),
+            scenarios=tuple(getattr(ChargeScenario, kind)(harvester)
+                            for kind in kinds),
             measurement_overhead=overhead,
             sweep_link=_spec(resolved, "sweep",
                              lambda d: replace(link, distance=d), "distance_m"),
@@ -351,12 +355,6 @@ class ScenarioConfig:
     def channel_at(self, distance: float, seed_offset: int = 0) -> AcousticChannel:
         return replace(self.channel, distance=distance,
                        rng_seed=self.rng_seed + seed_offset)
-
-    def grid(self) -> np.ndarray:
-        return _grid(self.resolved, "grid")
-
-    def range_grid(self) -> np.ndarray:
-        return _grid(self.resolved, "range_grid")
 
 
 def _hash_config(resolved: dict, components: tuple[ComponentPower, ...],

@@ -122,7 +122,7 @@ def tag_energy(components: list[ComponentPower] | tuple[ComponentPower, ...],
         elif plan.overlap == "full_window":
             on_time = window
         else:
-            on_time = min(c.turn_on_time, window)
+            on_time = c.turn_on_time
         energy += c.total_power * (on_time + plan.operate_time)
     return energy
 
@@ -223,14 +223,16 @@ def next_standard_capacitance(c_min: float) -> float:
 def harvester_output(p_in_dbm, harvester: HarvesterSpec):
     """DC power in watts delivered by the harvester for a given RF input.
 
-    Zero outside the harvester's sensitivity window; inside it, the
-    efficiency interpolated from the curve times the input power in watts.
+    Zero outside the harvester's sensitivity window, which holds neither
+    -inf dBm (a beam null) nor +inf dBm; inside it, the efficiency
+    interpolated from the curve times the input power in watts.  NaN is a
+    ``ParameterError``.
     An array of inputs gives an array of outputs, a scalar a float.  Each
     dBm-to-watt power runs on Python's ``math``, not numpy's SIMD loops.
     """
     p = np.asarray(p_in_dbm, dtype=float)
-    if not np.isfinite(p).all():
-        raise ParameterError(f"p_in_dbm must be finite, got {p_in_dbm}")
+    if np.isnan(p).any():
+        raise ParameterError(f"p_in_dbm must not be NaN, got {p_in_dbm}")
     p_eff = p + 10.0 * math.log10(harvester.eta_antenna)
     inside = (p_eff >= harvester.p_in_min) & (p_eff <= harvester.p_in_max)
     powers = np.zeros(p.shape)

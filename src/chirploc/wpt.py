@@ -145,14 +145,16 @@ def charge_time(capacitance: float, scenario: ChargeScenario, p_harvest):
     """Radiated seconds to move the capacitor through the scenario's swing.
 
     Returns infinity when the harvested power is zero (the tag is
-    unreachable at this distance).  Duty-cycle stretching is applied by the
-    caller; this is pure energy over power, elementwise over an array.
+    unreachable at this distance) or the time overflows a float.
+    Duty-cycle stretching is applied by the caller; this is pure energy
+    over power, elementwise over an array.
     """
     p = np.asarray(p_harvest, dtype=float)
     if (p < 0).any():
         raise ParameterError(f"p_harvest must be >= 0, got {p_harvest}")
     energy = buffer_energy(capacitance, scenario.v_end, scenario.v_start)
-    t = np.divide(energy, p, out=np.full(p.shape, math.inf), where=p != 0.0)
+    with np.errstate(over="ignore"):  # past a float's range is infinite too
+        t = np.divide(energy, p, out=np.full(p.shape, math.inf), where=p != 0.0)
     return t if t.ndim else float(t)
 
 
@@ -203,9 +205,12 @@ def inclusive_grid(lo: float, hi: float, step: float) -> np.ndarray:
 
     The last point is the largest ``lo + k*step <= hi``, tolerant to 1e-9
     of a step and clipped at ``hi`` so that rounding never carries a point
-    past it.  Empty when ``hi < lo``.  The points are counted first, and
-    more than ``GRID_POINTS_MAX`` of them is a ``ParameterError``.
+    past it.  Empty when ``hi < lo``.  A step that is not positive, or
+    more than ``GRID_POINTS_MAX`` points (counted first), is a
+    ``ParameterError``.
     """
+    if not step > 0:
+        raise ParameterError(f"step must be positive, got {step}")
     if hi < lo:
         return np.zeros(0)
     steps = (hi - lo) / step + 1e-9
@@ -236,7 +241,8 @@ def beam_sweep_precharge(
     steer by steer, so the cost does not depend on ``dwell``.  A target of
     exactly k sweeps (to 1e-12) ends at the last powered steer of sweep k.
 
-    Returns infinity when no steering direction can power the tag at all.
+    Returns infinity when no steering direction can power the tag at all,
+    or when the charge needs more radiated seconds than a float holds.
     """
     if not 0 < dwell < math.inf:
         raise ParameterError(f"dwell must be positive and finite, got {dwell}")
@@ -247,12 +253,9 @@ def beam_sweep_precharge(
     path = _path_loss_db(link)
 
     gains = np.array(_gains(array, angles.tolist(), tag_angle))
-    p_in = link.p_t + gains + link.g_r - path
-    lit = np.isfinite(p_in)
-    powers = np.zeros(angles.size)
-    powers[lit] = harvester_output(p_in[lit], harvester)
-    powers = powers.tolist()
-    if max(powers) == 0.0:
+    powers = harvester_output(link.p_t + gains + link.g_r - path,
+                              harvester).tolist()
+    if max(powers) == 0.0 or target / sum(powers) * len(angles) == math.inf:
         return math.inf
 
     per_sweep = dwell * sum(powers)

@@ -1,11 +1,11 @@
 """Configuration resolution and the command-line scenario front end."""
 
-import dataclasses
 import hashlib
 import json
 import math
 import time
 import tracemalloc
+import warnings
 from importlib import resources
 
 import numpy as np
@@ -14,7 +14,8 @@ import pytest
 from chirploc import (AcousticChannel, ArraySpec, FskConfig, HarvesterSpec,
                       RangingTimeline, ReceiveWindow, RfLink, StartupPlan)
 from chirploc.cli import COMMANDS, main
-from chirploc.config import DEFAULT_CONFIG, load_config, resolve_config
+from chirploc.config import (DEFAULT_CONFIG, ScenarioConfig, load_config,
+                             resolve_config)
 from chirploc.errors import ConfigError, ParameterError
 from chirploc.signals import (REFERENCE_SAMPLES_MAX, _audio_reference,
                               _backscatter_reference, _reach, _reachable)
@@ -52,8 +53,10 @@ def test_defaults_resolve_without_a_file():
     assert cfg.fsk.freq0 == 1.0e6
     assert cfg.capacitance == 6.8e-5
     assert cfg.rng_seed == 0
-    assert len(cfg.grid()) == 13
-    assert len(cfg.range_grid()) == 12
+    assert len(cfg.grid) == 13
+    assert len(cfg.range_grid) == 12
+    assert not cfg.grid.flags.writeable and not cfg.range_grid.flags.writeable
+    assert [s.kind for s in cfg.scenarios] == ["initial", "update"]
 
 
 def test_default_config_builds_the_library_defaults():
@@ -115,7 +118,8 @@ def test_copies_of_the_packaged_data_files_give_the_default_hash(tmp_path):
 def test_set_overrides_parse_json_values():
     cfg = load_config(sets=["channel.noise_std=0.25", "scenario=update"])
     assert cfg.channel_at(1.0).noise_std == 0.25
-    assert cfg.scenario == "update"  # bare word falls back to a string
+    # a bare word falls back to a string
+    assert [s.kind for s in cfg.scenarios] == ["update"]
 
 
 def test_set_override_validation():
@@ -134,14 +138,15 @@ def test_seed_argument_wins():
 
 
 def test_bad_grid_step_is_a_config_error():
-    cfg = load_config(sets=["grid.d_step_m=0"])
-    with pytest.raises(ConfigError, match="d_step_m"):
-        cfg.grid()
+    for assignment in ("grid.d_step_m=0", "range_grid.d_step_m=-0.5"):
+        with pytest.raises(ConfigError, match=r"grid\.d_step_m: step must be "
+                                              "positive"):
+            load_config(sets=[assignment])
 
 
 def test_reversed_grid_is_empty():
     cfg = load_config(sets=["grid.d_max_m=0.5"])
-    assert cfg.grid().size == 0
+    assert cfg.grid.size == 0
 
 
 def test_invalid_scenario_values_are_config_errors():
@@ -161,6 +166,8 @@ def test_config_hash_tracks_content():
     c = load_config(sets=["channel.noise_std=0.01"])
     assert a.config_hash == b.config_hash
     assert a.config_hash != c.config_hash
+    assert a == b and a != c
+    assert a != load_config(sets=["grid.d_step_m=0.25"])
     assert len(a.config_hash) == 64
 
 
@@ -207,7 +214,8 @@ def test_default_config_is_not_mutated_by_merging(tmp_path, monkeypatch):
             assert value is not b[group] and value is not DEFAULT_CONFIG[group]
     assert json.dumps(DEFAULT_CONFIG, sort_keys=True) == before
 
-    # hashing inlines the data files into its own copy, not into cfg.resolved
+    # hashing inlines the data files into its own copy, not into the
+    # resolved dict it loads from
     data = resources.files("chirploc.data")
     files = {}
     for name in ("tag_components.csv", "harvester_efficiency.csv"):
@@ -215,11 +223,12 @@ def test_default_config_is_not_mutated_by_merging(tmp_path, monkeypatch):
         (tmp_path / name).write_text(data.joinpath(name).read_text())
     sets = [f"components_file={files['tag_components.csv']}",
             f"harvester.efficiency_curve_file={files['harvester_efficiency.csv']}"]
-    cfg = load_config(str(path), sets)
-    assert cfg.resolved["components_file"] == files["tag_components.csv"]
-    assert (cfg.resolved["harvester"]["efficiency_curve_file"]
+    resolved = resolve_config(str(path), sets)
+    cfg = ScenarioConfig.from_dict(resolved)
+    assert resolved["components_file"] == files["tag_components.csv"]
+    assert (resolved["harvester"]["efficiency_curve_file"]
             == files["harvester_efficiency.csv"])
-    assert cfg.resolved == resolve_config(str(path), sets)
+    assert resolved == resolve_config(str(path), sets)
     assert cfg.config_hash == load_config(str(path)).config_hash
 
 
@@ -665,6 +674,26 @@ def test_sweep_runtime_error_exits_three(capsys):
     assert "error:" in err
 
 
+def test_an_overflowing_capacitor_charges_in_infinite_time(capsys):
+    # 1e308 F holds more energy than a float: every charge takes inf
+    # seconds, in the sweep as on the charge curve, and nothing warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for command, columns in (("charge-curve", slice(1, 3)),
+                                 ("sweep", slice(2, 3))):
+            code, out, err = run_cli(capsys, command, "--set",
+                                     "capacitance_f=1e308")
+            assert code == 0 and err == ""
+            _, _, rows = parse_csv(out)
+            assert rows and all(set(r[columns]) == {"inf"} for r in rows)
+
+
+def test_a_dwell_whose_sweep_count_overflows_is_too_short(capsys):
+    code, out, err = run_cli(capsys, "sweep", "--set", "sweep.dwell_s=1e-320")
+    assert code == 3 and out == ""
+    assert err == "error: dwell 1e-320 s is too short\n"
+
+
 # ------------------------------------------------------------ shared plumbing
 
 def test_result_table_cells_print_as_str():
@@ -814,9 +843,6 @@ def _numeric_keys(tree: dict, prefix: str = ""):
 
 
 NON_FINITE = ("NaN", "Infinity", "-Infinity")
-# the command that draws each lazily read group; every other value is read at
-# load, where any command rejects it
-COMMAND_OF_GROUP = {"grid": "charge-curve", "range_grid": "range"}
 
 
 @pytest.mark.parametrize("assignment", [
@@ -827,9 +853,9 @@ COMMAND_OF_GROUP = {"grid": "charge-curve", "range_grid": "range"}
     *(f"sweep.n_elements=[1, {v}]" for v in (*NON_FINITE, "1e400")),
 ])
 def test_non_finite_numbers_exit_two(capsys, assignment):
+    # every value is read at load, where any command rejects it
     key = assignment.partition("=")[0]
-    command = COMMAND_OF_GROUP.get(key.partition(".")[0], "size-buffer")
-    code, out, err = run_cli(capsys, command, "--set", assignment)
+    code, out, err = run_cli(capsys, "size-buffer", "--set", assignment)
     assert code == 2
     assert err.startswith(f"config error: {key}: ")
     assert out == ""
@@ -837,12 +863,15 @@ def test_non_finite_numbers_exit_two(capsys, assignment):
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 def test_commands_read_no_config_value_but_the_grids_again(command):
-    # every value but the lazily drawn grids is parsed once, at load
-    cfg = load_config(sets=["range_grid.d_max_m=1.5", "channel.noise_std=0.02",
-                            "link.p_t_dbm=24", "sweep.step_deg=7"])
-    bare = dataclasses.replace(cfg, resolved={
-        "grid": cfg.resolved["grid"], "range_grid": cfg.resolved["range_grid"]})
-    assert COMMANDS[command](bare).rows == COMMANDS[command](cfg).rows
+    # every value, the grids included, is parsed once, at load: emptying the
+    # resolved dict afterwards changes no table
+    resolved = resolve_config(sets=["range_grid.d_max_m=1.5",
+                                    "channel.noise_std=0.02", "link.p_t_dbm=24",
+                                    "sweep.step_deg=7"])
+    cfg = ScenarioConfig.from_dict(resolved)
+    rows = COMMANDS[command](cfg).rows
+    resolved.clear()
+    assert COMMANDS[command](cfg).rows == rows
 
 
 @pytest.mark.parametrize("sets, rate_key", [
@@ -992,17 +1021,29 @@ def test_grids_over_the_budget_fail_before_allocating(capsys, command,
     assert out == ""
 
 
-def test_the_grid_budget_binds_only_where_the_grid_is_drawn(capsys):
-    for command, assignment in [("size-buffer", "grid.d_step_m=1e-12"),
-                                ("charge-curve", "range_grid.d_step_m=1e-12")]:
-        assert run_cli(capsys, command, "--set", assignment)[0] == 0
+def test_an_over_budget_grid_refuses_every_command_at_load(capsys):
+    main(["size-buffer"])  # argparse and the config data are loaded
+    capsys.readouterr()
+    for command in sorted(COMMANDS):
+        for key in ("grid.d_step_m", "range_grid.d_step_m"):
+            tracemalloc.start()
+            try:
+                code, out, err = run_cli(capsys, command, "--set",
+                                         f"{key}=1e-12")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1e6
+            assert code == 2 and out == ""
+            assert err.startswith(f"config error: {key}: ")
+            assert "more than 100000 grid points" in err
     # 100,000 points is the budget itself
     cfg = load_config(sets=["grid.d_min_m=1", "grid.d_max_m=100000",
                             "grid.d_step_m=1"])
-    assert cfg.grid().size == 100_000
+    assert cfg.grid.size == 100_000
     with pytest.raises(ConfigError, match="grid.d_step_m"):
         load_config(sets=["grid.d_min_m=1", "grid.d_max_m=100001",
-                          "grid.d_step_m=1"]).grid()
+                          "grid.d_step_m=1"])
 
 
 def test_unknown_set_key_exits_two(capsys):

@@ -3,6 +3,7 @@
 import math
 import textwrap
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -249,6 +250,17 @@ def test_harvester_output_monotone_in_window(p1, p2):
 def test_harvester_rejects_non_finite_input():
     with pytest.raises(ParameterError):
         harvester_output(float("nan"), HarvesterSpec())
+
+
+def test_harvester_output_is_zero_at_infinite_input():
+    # -inf dBm (a beam null) and +inf both lie outside the window; NaN is
+    # refused in an array as in a scalar
+    h = HarvesterSpec()
+    assert harvester_output(-math.inf, h) == harvester_output(math.inf, h) == 0.0
+    got = harvester_output(np.array([-math.inf, 0.0, math.inf]), h)
+    assert got.tolist() == [0.0, harvester_output(0.0, h), 0.0]
+    with pytest.raises(ParameterError, match="NaN"):
+        harvester_output(np.array([0.0, math.nan]), h)
 
 
 @pytest.mark.parametrize("kwargs", [

@@ -443,11 +443,27 @@ def test_inclusive_grid_stays_inside_its_bounds(step, lo, span):
     assert hi - grid[-1] < step * (1 + 1e-9)
 
 
+@pytest.mark.parametrize("step", [0.0, -0.5, math.nan])
+def test_inclusive_grid_refuses_a_step_that_is_not_positive(step):
+    with pytest.raises(ParameterError, match="step must be positive"):
+        inclusive_grid(1.0, 2.0, step)
+
+
 def test_sweep_rejects_a_dwell_too_short_to_count():
     for dwell in (5e-324, 1e-315):
         with pytest.raises(ParameterError, match="too short"):
             beam_sweep_precharge(ArraySpec(4), 0.0,
                                  **dict(SWEEP_KW, dwell=dwell))
+
+
+def test_a_sweep_past_a_float_of_radiated_seconds_is_infinite():
+    # a finite 2.6e307 J target takes some 5e312 radiated seconds; an
+    # infinite one as many; neither is a dwell too short to count
+    for capacitance in (1e307, 1e308):
+        for dwell in (1.0, 1e-3):
+            assert beam_sweep_precharge(
+                ArraySpec(4), 0.0, **dict(SWEEP_KW, dwell=dwell,
+                                          capacitance=capacitance)) == math.inf
 
 
 def test_sweep_validation():
