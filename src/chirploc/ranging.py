@@ -191,8 +191,10 @@ def simulate_ranging(
     if mode == "ideal-audio":
         lag, peak = _locate(*scaled, captured.samples, rate)
     else:
-        rf = fsk_modulate(one_bit_quantize(captured, threshold), fsk)
-        lag, peak = _locate_backscatter(matched, rf.samples, rate)
+        rf_low = fsk_modulate(one_bit_quantize(captured, threshold),
+                              fsk).samples < 0
+        del captured  # before the locate, whose scan sets the peak
+        lag, peak = _locate_backscatter(matched, rf_low, rate)
 
     # the sample heard at wake-up left the beacon ``lag`` seconds into the
     # chirp, so the flight time is wakeup_delay - lag

@@ -50,6 +50,9 @@ MAX_SHIFT_RATIO = 0.10
 HARMONICS = (1, 3)
 # Lags the scan hands to exact rescoring: a margin for the dropped harmonics.
 RESCORED_LAGS = 32
+# Lags of a block the scan ranks at once, so that the ranking's index stays
+# small beside the block buffer.
+SHORTLIST_PIECE = 4096
 # RF samples to a bin of the coarse locate that picks the scan's blocks:
 # 5 us at the default 10 MHz.
 COARSE_BIN = 50
@@ -311,11 +314,12 @@ def _pearson(num: float, a: float, b: float) -> float:
     return min(1.0, max(-1.0, num / denom))
 
 
-def _centre(v: np.ndarray) -> np.ndarray:
-    """``v`` minus its mean, and exact zeros for a constant ``v`` (``v``
-    minus its first sample), whose rounded mean can leave a residue that
-    reads as energy.  Comparing the ends first keeps the full test off
-    almost every window.  The result starts on a 64-byte boundary, where
+def _centred(v: np.ndarray) -> tuple[np.ndarray, float]:
+    """``v`` minus its mean, and its energy, as every locator scores a
+    segment.  A constant ``v`` centres to exact zeros (``v`` minus its
+    first sample), since its rounded mean can leave a residue that reads as
+    energy.  Comparing the ends first keeps the full test off almost every
+    window.  The centred copy starts on a 64-byte boundary, where
     ``np.correlate`` takes about a third less time than at the other
     offsets malloc may give, with the same bits."""
     out = np.empty(v.size + 7)
@@ -323,12 +327,7 @@ def _centre(v: np.ndarray) -> np.ndarray:
     constant = v[0] == v[-1] and (v == v[0]).all()
     # the sum over the count is v.mean() to the bit, without its wrapper
     mean = v[0] if constant else np.add.reduce(v) / v.size
-    return np.subtract(v, mean, out=out)
-
-
-def _centred(v: np.ndarray) -> tuple[np.ndarray, float]:
-    """``_centre(v)`` and its energy, as every locator scores a segment."""
-    vz = _centre(v)
+    vz = np.subtract(v, mean, out=out)
     return vz, float(np.dot(vz, vz))
 
 
@@ -513,25 +512,28 @@ def _coarse_bins(m: int) -> int:
     return (m - 1) // COARSE_BIN - 2
 
 
-def _coarse_blocks(matched: BackscatterReference, rf: np.ndarray) -> range:
-    """The overlap-save blocks ``_scan`` needs for the reflection ``rf``.
+def _coarse_blocks(matched: BackscatterReference, rf_low: np.ndarray) -> range:
+    """The overlap-save blocks ``_scan`` needs for the reflection whose sign
+    bits are ``rf_low``.
 
-    Each sign change of ``rf`` is half a carrier cycle on from the last, so
-    the carrier phase, interpolated at the bin edges of ``_coarse_bins``,
-    advances over each bin by what the comparator's duty cycle there gives.
+    Each sign change of the reflection is half a carrier cycle on from the
+    last, so the carrier phase, interpolated at the bin edges of
+    ``_coarse_bins``, advances over each bin by what the comparator's duty
+    cycle there gives.
     ``_sliding_pearson`` locates that stream in the same advance of the
     reference.  Returns the blocks holding a lag within ``COARSE_REACH`` of
     the coarse lag, or every block when the coarse peak leads every score
     farther than ``COARSE_REACH`` from it by less than ``COARSE_MARGIN``,
-    the capture keeps no bin, or ``rf`` changes sign less than twice.
+    the capture keeps no bin, or the reflection changes sign less than
+    twice.
     """
     every = range(len(matched.spectra))
-    flips = np.flatnonzero(rf[1:] != rf[:-1])
+    flips = np.flatnonzero(rf_low[1:] != rf_low[:-1])
     if matched.coarse is None or flips.size < 2:
         return every
     # np.interp clamps before the first sign change and past the last, so
     # the bin at each end is dropped
-    edges = np.arange(_coarse_bins(rf.size) + 3) * COARSE_BIN
+    edges = np.arange(_coarse_bins(rf_low.size) + 3) * COARSE_BIN
     phase = np.interp(edges, flips, np.arange(flips.size) / 2)
     scores = _sliding_pearson(*matched.coarse,
                               *_centred(np.diff(phase)[1:-1]))
@@ -548,12 +550,13 @@ def _coarse_blocks(matched: BackscatterReference, rf: np.ndarray) -> range:
                  min(lag + COARSE_REACH, matched.lags - 1) // step + 1)
 
 
-def _scan(matched: BackscatterReference, rfz: np.ndarray,
+def _scan(matched: BackscatterReference, rf_low: np.ndarray,
           blocks: range) -> tuple[np.ndarray, np.ndarray]:
     """The ``RESCORED_LAGS`` lags, in order, at which the square-wave
-    replica truncated to ``HARMONICS`` best matches the centred reflection
-    ``rfz``, and their scores: the best of each overlap-save block's best,
-    so the best of all lags in ``blocks`` unless the next one ties.
+    replica truncated to ``HARMONICS`` best matches the centred +/-1
+    reflection that is low where ``rf_low`` is set, and their scores: the
+    best of each ``SHORTLIST_PIECE``-lag piece's best, so the best of all
+    lags in ``blocks`` unless the next one ties.
 
     With ``P`` the carrier phase ``fsk_modulate`` gives the reference
     bits, the replica at lag k is +1 where ``frac(P[k+j] - P[k])
@@ -561,12 +564,17 @@ def _scan(matched: BackscatterReference, rfz: np.ndarray,
     cross-correlation with ``exp(2 pi i h P)``, rotated back by ``P[k]``.
     Every replica is a balanced carrier, so its energy is the window length
     to within a few samples and the scan ranks lags by correlation alone.
-    ``rfz`` is real, so its conjugate spectrum is the Hermitian extension
-    of its real FFT.  Per block, one inverse FFT takes every harmonic's
+    The reflection is centred by its mean, which the count of low samples
+    gives exactly, as ``_centred`` gives it, constant waves included.  It
+    is real, so its conjugate spectrum is the Hermitian extension of its
+    real FFT.  Per block, one inverse FFT takes every harmonic's
     correlation at the block's first ``step`` lags, each rotated back by its
     start phase and weighted by 1/h.  The blocks run one after another on
-    the calling thread, in one ``(len(HARMONICS), size)`` buffer, and their
-    kept lags merge in block order.
+    the calling thread, and their pieces' kept lags merge in lag order.
+    Through the block loop there live the real FFT ``half`` (``size // 2 +
+    1`` values), one ``(len(HARMONICS), size)`` buffer, whose row 0 takes
+    each block's conjugate spectrum before the products overwrite it, the
+    ``step`` scores and one piece's ranking.
 
     The scan runs in single precision, with complex64 transforms and
     float32 scores.  Single precision suffices because the scan only ranks:
@@ -581,9 +589,9 @@ def _scan(matched: BackscatterReference, rfz: np.ndarray,
     multiply-adds on some CPUs and not on others.
     """
     size, step, lags = matched.size, matched.step, matched.lags
-    half = np.fft.rfft(rfz.astype(np.float32), size)
-    rf_spec = np.concatenate((np.conj(half), half[size - half.size:0:-1]))
-    del half  # before the block buffer, which sets the exchange's peak
+    mean = (rf_low.size - 2 * np.count_nonzero(rf_low)) / rf_low.size
+    half = np.fft.rfft(np.where(rf_low, np.float32(-1.0 - mean),
+                                np.float32(1.0 - mean)), size)
     # the square wave is 4/pi times the sum of sin(2 pi h theta) / h; the
     # fundamental's row, h = 1, needs no division
     weights = np.array(HARMONICS[1:], dtype=np.float32)[:, None]
@@ -594,16 +602,20 @@ def _scan(matched: BackscatterReference, rfz: np.ndarray,
         start = b * step
         width = min(step, lags - start)
         corr = buf[:, :width]
-        np.multiply(matched.spectra[b], rf_spec, out=buf)
+        np.conjugate(half, out=buf[0, :half.size])
+        buf[0, half.size:] = half[size - half.size:0:-1]
+        np.multiply(matched.spectra[b, 1:], buf[0], out=buf[1:])
+        np.multiply(matched.spectra[b, 0], buf[0], out=buf[0])
         np.fft.ifft(buf, axis=-1, out=buf)
         np.multiply(matched.rotations[:, start:start + width], corr, out=corr)
         np.divide(corr.imag[1:], weights, out=corr.imag[1:])
         block = np.sum(corr.imag, axis=0, out=score[:width])
-        best = _best(block)
-        shortlist.append(best + start)
-        scores.append(block[best])
+        for first in range(0, width, SHORTLIST_PIECE):
+            best = first + _best(block[first:first + SHORTLIST_PIECE])
+            shortlist.append(best + start)
+            scores.append(block[best])
     shortlist, scores = np.concatenate(shortlist), np.concatenate(scores)
-    # the blocks' lags ascend, so the indices of the best ascend in lag too
+    # the pieces' lags ascend, so the indices of the best ascend in lag too
     best = _best(scores)
     return shortlist[best], scores[best]
 
@@ -615,11 +627,13 @@ def _best(scores: np.ndarray) -> np.ndarray:
     return np.sort(np.argpartition(scores, -take)[-take:])
 
 
-def _locate_backscatter(matched: BackscatterReference, rf: np.ndarray,
+def _locate_backscatter(matched: BackscatterReference, rf_low: np.ndarray,
                         rate: float) -> tuple[float, float]:
-    """``xcorr_offset`` of the reflection ``rf`` the beacon hears, sampled
-    at ``rate``, inside the reflection of the reference comparator bits,
-    whose beacon side ``matched`` comes from ``_backscatter_reference``.
+    """``xcorr_offset`` of the reflection the beacon hears, sampled at
+    ``rate``, inside the reflection of the reference comparator bits, whose
+    beacon side ``matched`` comes from ``_backscatter_reference``.  It
+    takes the reflection's sign bits, ``rf_low``, set where the +/-1 wave
+    is low: the locator needs nothing else of it.
 
     ``_scan`` shortlists lags from the blocks ``_coarse_blocks`` picks, and
     ``_exact_scores`` rescores each, so a perfect match scores exactly 1.0
@@ -627,8 +641,8 @@ def _locate_backscatter(matched: BackscatterReference, rf: np.ndarray,
     the smallest lag.  CHANGES.md records how the pruned answers compare
     with the all-blocks scan's.
     """
-    shortlist, _ = _scan(matched, _centre(rf), _coarse_blocks(matched, rf))
-    exact = _exact_scores(matched.halves, shortlist, rf < 0)
+    shortlist, _ = _scan(matched, rf_low, _coarse_blocks(matched, rf_low))
+    exact = _exact_scores(matched.halves, shortlist, rf_low)
     return _first_max(shortlist, exact, rate)
 
 

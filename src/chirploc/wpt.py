@@ -91,6 +91,12 @@ class ArraySpec:
             )
         if not self.spacing > 0:
             raise ParameterError(f"spacing must be positive, got {self.spacing}")
+        # the steers' element phases reach 4 pi spacing (n - 1) radians, and
+        # a single element's steer phase 4 pi spacing
+        if not math.isfinite(4 * math.pi * self.spacing
+                             * max(self.n_elements - 1, 1)):
+            raise ParameterError(
+                f"spacing {self.spacing} overflows the array's phases")
         if not -90.0 <= self.steer_angle <= 90.0:
             raise ParameterError(
                 f"steer_angle must be in [-90, 90], got {self.steer_angle}")

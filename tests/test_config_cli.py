@@ -736,6 +736,8 @@ def test_result_table_rejects_a_row_of_the_wrong_width():
     ("size-buffer", "startup.overlap=x"),
     ("sweep", "sweep.distance_m=0"),
     ("sweep", "sweep.spacing_wavelengths=0"),
+    # finite, but the 8-element array's phases overflow
+    ("sweep", "sweep.spacing_wavelengths=1e307"),
     ("range", "channel.noise_std=-1"),
     ("range", "chirp.sample_rate_hz=50000"),
     ("range", "fsk.freq0_hz=-1"),

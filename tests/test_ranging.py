@@ -626,17 +626,17 @@ def test_an_exact_tie_goes_to_the_smaller_lag(monkeypatch):
     heard = []
     locate = ranging._locate_backscatter
 
-    def recording(matched, rf, rate):
-        heard.append((matched, rf))
-        return locate(matched, rf, rate)
+    def recording(matched, rf_low, rate):
+        heard.append((matched, rf_low))
+        return locate(matched, rf_low, rate)
 
     monkeypatch.setattr(ranging, "_locate_backscatter", recording)
     r = simulate_ranging(cfg.chirp, cfg.channel_at(2.0, seed_offset=3),
                          cfg.timeline, mode="one-bit-backscatter",
                          fsk=cfg.fsk, threshold=cfg.comparator_threshold)
-    (matched, rf), = heard
+    (matched, rf_low), = heard
     tied = signals._exact_scores(matched.halves, np.array([141304, 141305]),
-                                 rf < 0)
+                                 rf_low)
     assert tied[0].hex() == tied[1].hex() == r.peak.hex()
     assert r.lag * cfg.fsk.sample_rate == 141304
 
@@ -660,15 +660,25 @@ def _warm_peak(exchange):
         tracemalloc.stop()
 
 
-def test_warm_default_exchange_peaks_under_1_3_mb():
+def test_warm_default_exchange_peaks_under_0_8_mb():
     # rescoring every shortlisted lag at once peaked at 12.2 MB, a scan
     # that allocated its products per block, over the whole propagated
     # reference, at 6.1 MB, one that kept the reflection's real FFT alive
-    # beside its block buffer at 2.25 MB, and the double-precision scan at
-    # 2.01 MB
+    # beside its block buffer at 2.25 MB, the double-precision scan at
+    # 2.01 MB, and one that held the float reflection, its full conjugate
+    # spectrum and a whole block's ranking at 1.21 MB
     cfg = load_config()
     _, peak = _warm_peak(lambda: _default_exchange(cfg))
-    assert peak < 1.3e6
+    assert peak < 0.8e6
+
+
+def test_warm_4_ms_exchange_peaks_under_3_mb():
+    # the scan's buffers grow with the capture: 4.81 MB when the float
+    # reflection, its full conjugate spectrum and a whole block's ranking
+    # lived through the scan
+    cfg = load_config(sets=["timeline.capture_duration_s=0.004"])
+    _, peak = _warm_peak(lambda: _default_exchange(cfg))
+    assert peak < 3.0e6
 
 
 def test_a_library_reference_past_its_limit_is_refused_before_allocating():
@@ -1049,14 +1059,20 @@ ONE_BLOCK_TIMELINE = dataclasses.replace(SHORT_TIMELINE,
 
 
 def _scan_case(timeline):
-    """The memo and a noisy centred reflection for a scan test."""
+    """The memo and a noisy reflection's sign bits for a scan test."""
     rate = FSK.sample_rate
     matched = signals._backscatter_reference(
         *_memo_key(SHORT_CHIRP, timeline, rate), FSK, 0.0)
     ch = AcousticChannel(distance=0.15, noise_std=0.05, rng_seed=7)
     window = _captured_full_chirp(SHORT_CHIRP, ch, timeline, rate)
-    rf = fsk_modulate(one_bit_quantize(window), FSK).samples
-    return matched, rf - rf.mean()
+    return matched, fsk_modulate(one_bit_quantize(window), FSK).samples < 0
+
+
+def _centred_reflection(rf_low):
+    """The +/-1 reflection that is low where ``rf_low`` is set, less its
+    mean."""
+    rf = 1.0 - 2.0 * rf_low
+    return rf - rf.mean()
 
 
 def _conj_spectrum(rfz, size):
@@ -1069,7 +1085,7 @@ def _conj_spectrum(rfz, size):
 # an even and an odd 5-smooth size, each past the 5000-sample reflection
 @pytest.mark.parametrize("size", [6000, 6075])
 def test_real_fft_extension_is_the_conjugate_spectrum(size):
-    _, rfz = _scan_case(ONE_BLOCK_TIMELINE)
+    rfz = _centred_reflection(_scan_case(ONE_BLOCK_TIMELINE)[1])
     exact = np.conj(np.fft.fft(rfz, size))
     got = _conj_spectrum(rfz, size)
     assert got.shape == exact.shape
@@ -1079,10 +1095,11 @@ def test_real_fft_extension_is_the_conjugate_spectrum(size):
 @pytest.mark.parametrize("timeline, n_blocks", [
     (BLOCKED_TIMELINE, 4), (ONE_BLOCK_TIMELINE, 1)], ids=["four", "one"])
 def test_blocked_scan_matches_a_full_length_scan(timeline, n_blocks):
-    matched, rfz = _scan_case(timeline)
+    matched, rf_low = _scan_case(timeline)
     step, lags = matched.step, matched.lags
     assert len(matched.spectra) == n_blocks == -(-lags // step)
-    shortlist, scores = signals._scan(matched, rfz, range(n_blocks))
+    shortlist, scores = signals._scan(matched, rf_low, range(n_blocks))
+    rfz = _centred_reflection(rf_low)
 
     # the oracle: one circular correlation over the whole reference
     ref_bits = one_bit_quantize(matched.reference)
@@ -1116,15 +1133,17 @@ def test_blocked_scan_matches_a_full_length_scan(timeline, n_blocks):
 @pytest.mark.parametrize("timeline", [BLOCKED_TIMELINE, ONE_BLOCK_TIMELINE],
                          ids=["four", "one"])
 def test_scan_matches_a_serial_block_loop_bit_for_bit(timeline):
-    matched, rfz = _scan_case(timeline)
-    shortlist, scores = signals._scan(matched, rfz, _all_blocks(matched, rfz))
+    matched, rf_low = _scan_case(timeline)
+    shortlist, scores = signals._scan(matched, rf_low,
+                                      _all_blocks(matched, rf_low))
 
     # every block, each keeping its best lags, merged in block order, in the
     # memo's single precision
     size, step, lags = matched.size, matched.step, matched.lags
     spectra, rotations = matched.spectra, matched.rotations
     take = signals.RESCORED_LAGS
-    rf_spec = _conj_spectrum(rfz.astype(np.float32), size)
+    rf_spec = _conj_spectrum(_centred_reflection(rf_low).astype(np.float32),
+                             size)
     all_lags, all_scores = [], []
     for b, start in enumerate(range(0, lags, step)):
         kept_lags = slice(start, min(start + step, lags))
@@ -1145,7 +1164,7 @@ def test_scan_matches_a_serial_block_loop_bit_for_bit(timeline):
                           all_scores[best].view(np.uint32))
 
 
-def _all_blocks(matched, rf):
+def _all_blocks(matched, rf_low):
     """A ``_coarse_blocks`` that hands ``_scan`` every block."""
     return range(len(matched.spectra))
 
@@ -1195,8 +1214,8 @@ def _record_blocks(monkeypatch):
     coarse_blocks = signals._coarse_blocks
     scanned = []
 
-    def recording(matched, rf):
-        blocks = coarse_blocks(matched, rf)
+    def recording(matched, rf_low):
+        blocks = coarse_blocks(matched, rf_low)
         scanned.append((len(blocks), len(matched.spectra)))
         return blocks
 

@@ -232,17 +232,20 @@ def test_gain_pass_keeps_the_oracle_at_a_null_and_past_float_range():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(np, "exp", lambda _: cancelled[None, :])
         assert _gains(null, [0.0], 90.0) == [-math.inf]
-    # a phase past a float's range is nan in both, not -inf
-    huge = ArraySpec(4, 1e307, 0.0, -90.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        got = _gains(huge, [-90.0], 90.0)[0]
-        want = per_steer_array_factor(huge, 90.0)
-    assert math.isnan(got) and math.isnan(want)
+    # ArraySpec refuses a spacing whose phases pass a float's range; just
+    # inside it, both keep every bit
+    wide = ArraySpec(4, 1e306, 0.0, -90.0)
+    got = _gains(wide, [-90.0], 90.0)[0]
+    assert math.isfinite(got)
+    assert got.hex() == per_steer_array_factor(wide, 90.0).hex()
 
 
 @pytest.mark.parametrize("kwargs", [
     dict(n_elements=0),
     dict(spacing=0.0),
+    # element phases, or a single element's steer phase, past a float
+    dict(n_elements=4, spacing=1e307),
+    dict(n_elements=1, spacing=1e308),
     dict(steer_angle=95.0),
 ])
 def test_array_spec_validation(kwargs):
