@@ -567,14 +567,15 @@ def _scan(matched: BackscatterReference, rf_low: np.ndarray,
     The reflection is centred by its mean, which the count of low samples
     gives exactly, as ``_centred`` gives it, constant waves included.  It
     is real, so its conjugate spectrum is the Hermitian extension of its
-    real FFT.  Per block, one inverse FFT takes every harmonic's
-    correlation at the block's first ``step`` lags, each rotated back by its
-    start phase and weighted by 1/h.  The blocks run one after another on
-    the calling thread, and their pieces' kept lags merge in lag order.
-    Through the block loop there live the real FFT ``half`` (``size // 2 +
-    1`` values), one ``(len(HARMONICS), size)`` buffer, whose row 0 takes
-    each block's conjugate spectrum before the products overwrite it, the
-    ``step`` scores and one piece's ranking.
+    real FFT.  Per block and harmonic, in ``HARMONICS`` order, one inverse
+    FFT takes that harmonic's correlation at the block's first ``step``
+    lags, rotated back by its start phase, and the block's scores add it
+    weighted by 1/h.  The blocks run one after another on the calling
+    thread, and their pieces' kept lags merge in lag order.  Through the
+    block loop there live the real FFT ``half`` (``size // 2 + 1``
+    values), one ``size``-point row, which takes the conjugate spectrum
+    before each harmonic's product overwrites it, the ``step`` scores and
+    one piece's ranking.
 
     The scan runs in single precision, with complex64 transforms and
     float32 scores.  Single precision suffices because the scan only ranks:
@@ -592,24 +593,24 @@ def _scan(matched: BackscatterReference, rf_low: np.ndarray,
     mean = (rf_low.size - 2 * np.count_nonzero(rf_low)) / rf_low.size
     half = np.fft.rfft(np.where(rf_low, np.float32(-1.0 - mean),
                                 np.float32(1.0 - mean)), size)
-    # the square wave is 4/pi times the sum of sin(2 pi h theta) / h; the
-    # fundamental's row, h = 1, needs no division
-    weights = np.array(HARMONICS[1:], dtype=np.float32)[:, None]
-    buf = np.empty((len(HARMONICS), size), dtype=np.complex64)
+    row = np.empty(size, dtype=np.complex64)
     score = np.empty(step, dtype=np.float32)
     shortlist, scores = [], []
     for b in blocks:
         start = b * step
         width = min(step, lags - start)
-        corr = buf[:, :width]
-        np.conjugate(half, out=buf[0, :half.size])
-        buf[0, half.size:] = half[size - half.size:0:-1]
-        np.multiply(matched.spectra[b, 1:], buf[0], out=buf[1:])
-        np.multiply(matched.spectra[b, 0], buf[0], out=buf[0])
-        np.fft.ifft(buf, axis=-1, out=buf)
-        np.multiply(matched.rotations[:, start:start + width], corr, out=corr)
-        np.divide(corr.imag[1:], weights, out=corr.imag[1:])
-        block = np.sum(corr.imag, axis=0, out=score[:width])
+        corr, block = row[:width], score[:width]
+        # the square wave is 4/pi times the sum of sin(2 pi h theta) / h,
+        # added in HARMONICS order onto -0.0, which adds every float as is
+        block.fill(-0.0)
+        for h, spectrum, rotation in zip(HARMONICS, matched.spectra[b],
+                                         matched.rotations):
+            np.conjugate(half, out=row[:half.size])
+            row[half.size:] = half[size - half.size:0:-1]
+            np.multiply(spectrum, row, out=row)
+            np.fft.ifft(row, out=row)
+            np.multiply(rotation[start:start + width], corr, out=corr)
+            np.add(block, np.divide(corr.imag, h, out=corr.imag), out=block)
         for first in range(0, width, SHORTLIST_PIECE):
             best = first + _best(block[first:first + SHORTLIST_PIECE])
             shortlist.append(best + start)
