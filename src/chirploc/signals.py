@@ -56,11 +56,12 @@ SHORTLIST_PIECE = 4096
 # RF samples to a bin of the coarse locate that picks the scan's blocks:
 # 5 us at the default 10 MHz.
 COARSE_BIN = 50
-# Lags on each side of the coarse lag whose blocks the scan runs: 2 ms of
-# lag, 0.69 m of range, at 10 MHz.
-COARSE_REACH = 20_000
-# The least lead of the coarse peak over every coarse score farther than
-# COARSE_REACH from it at which the scan skips blocks.
+# Lags the scan pads the coarse candidates' span with on each side: 0.5 ms
+# of lag, 0.17 m of range, at 10 MHz.  It covers how far the true lag has
+# been seen outside that span, at most 4,446 lags (ROADMAP item 12).
+COARSE_REACH = 5_000
+# How far below the best coarse score a coarse bin may score and still be a
+# candidate for the lag.
 COARSE_MARGIN = 0.05
 
 
@@ -521,33 +522,28 @@ def _coarse_blocks(matched: BackscatterReference, rf_low: np.ndarray) -> range:
     ``_coarse_bins``, advances over each bin by what the comparator's duty
     cycle there gives.
     ``_sliding_pearson`` locates that stream in the same advance of the
-    reference.  Returns the blocks holding a lag within ``COARSE_REACH`` of
-    the coarse lag, or every block when the coarse peak leads every score
-    farther than ``COARSE_REACH`` from it by less than ``COARSE_MARGIN``,
-    the capture keeps no bin, or the reflection changes sign less than
-    twice.
+    reference.  Its candidates are the coarse lags that score within
+    ``COARSE_MARGIN`` of the best; returns the blocks holding a lag from
+    ``COARSE_REACH`` before the first candidate to ``COARSE_REACH`` after
+    the last, so a far competitor stretches the span toward every block.
+    Returns every block when the capture keeps no bin or the reflection
+    changes sign less than twice.
     """
-    every = range(len(matched.spectra))
     flips = np.flatnonzero(rf_low[1:] != rf_low[:-1])
     if matched.coarse is None or flips.size < 2:
-        return every
+        return range(len(matched.spectra))
     # np.interp clamps before the first sign change and past the last, so
     # the bin at each end is dropped
     edges = np.arange(_coarse_bins(rf_low.size) + 3) * COARSE_BIN
     phase = np.interp(edges, flips, np.arange(flips.size) / 2)
     scores = _sliding_pearson(*matched.coarse,
                               *_centred(np.diff(phase)[1:-1]))
-    best = int(np.argmax(scores))
-    reach = COARSE_REACH // COARSE_BIN
-    far = np.concatenate((scores[:max(best - reach, 0)],
-                          scores[best + reach + 1:]))
-    if far.size and scores[best] - far.max() < COARSE_MARGIN:
-        return every
+    near = np.flatnonzero(scores.max() - scores < COARSE_MARGIN)
     # the stream's first kept bin starts COARSE_BIN samples into the capture
-    lag = (best - 1) * COARSE_BIN
+    first, last = (near[[0, -1]] - 1) * COARSE_BIN
     step = matched.step
-    return range(max(lag - COARSE_REACH, 0) // step,
-                 min(lag + COARSE_REACH, matched.lags - 1) // step + 1)
+    return range(max(first - COARSE_REACH, 0) // step,
+                 min(last + COARSE_REACH, matched.lags - 1) // step + 1)
 
 
 def _scan(matched: BackscatterReference, rf_low: np.ndarray,
@@ -577,17 +573,19 @@ def _scan(matched: BackscatterReference, rf_low: np.ndarray,
     before each harmonic's product overwrites it, the ``step`` scores and
     one piece's ranking.
 
-    The scan runs in single precision, with complex64 transforms and
-    float32 scores.  Single precision suffices because the scan only ranks:
-    its truncated series drops about a tenth of the replica's energy, which
-    the ``RESCORED_LAGS`` margin absorbs, while a float32 FFT's rounding
-    stays near log2(size) unit roundoffs (Higham, Accuracy and Stability
-    of Numerical Algorithms, 2nd ed., 2002, Thm 24.2), some five orders of
-    magnitude below it, and exact rescoring decides the answer and its
-    peak.  Every input is a +/-1 wave or a unit tone, so no amplitude or
-    noise level can take a value out of float32's range.  The scores'
-    last bits follow numpy's SIMD dispatch, which fuses the complex
-    multiply-adds on some CPUs and not on others.
+    The scan runs in single precision, with complex64 inverse transforms
+    and float32 scores.  The reflection's real FFT is the exception: numpy
+    runs it in double precision, since its scale is the Python int 1, and
+    rounds it once to complex64.  Single precision suffices because the
+    scan only ranks: its truncated series drops about a tenth of the
+    replica's energy, which the ``RESCORED_LAGS`` margin absorbs, while a
+    float32 FFT's rounding stays near log2(size) unit roundoffs (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002, Thm
+    24.2), some five orders of magnitude below it, and exact rescoring
+    decides the answer and its peak.  Every input is a +/-1 wave or a unit
+    tone, so no amplitude or noise level can take a value out of float32's
+    range.  The scores' last bits follow numpy's SIMD dispatch, which fuses
+    the complex multiply-adds on some CPUs and not on others.
     """
     size, step, lags = matched.size, matched.step, matched.lags
     mean = (rf_low.size - 2 * np.count_nonzero(rf_low)) / rf_low.size

@@ -1284,14 +1284,69 @@ def test_pruned_scan_matches_the_all_blocks_scan(monkeypatch, setting):
     assert bits == _bits_here("one-bit-backscatter", sets, distances)
 
 
-# 0.1 ms keeps 17 coarse bins, too few to single out the lag, and 10 us none
-@pytest.mark.parametrize("capture", [1e-4, 1e-5])
+def test_short_capture_pruned_scan_matches_the_all_blocks_scan(monkeypatch):
+    # a 0.1 ms capture keeps 17 coarse bins, whose candidates spread over
+    # about half its 100 blocks
+    sets = ["timeline.capture_duration_s=0.0001"]
+    scanned = _record_blocks(monkeypatch)
+    bits = _bits_here("one-bit-backscatter", sets)
+    assert all(ran < total for ran, total in scanned)
+    monkeypatch.setattr(signals, "_coarse_blocks", _all_blocks)
+    assert bits == _bits_here("one-bit-backscatter", sets)
+
+
+# a 10 us capture keeps no coarse bin
+@pytest.mark.parametrize("capture", [1e-5])
 def test_short_capture_scans_every_block(monkeypatch, capture):
     scanned = _record_blocks(monkeypatch)
     _bits_here("one-bit-backscatter",
                [f"timeline.capture_duration_s={capture}"])
     assert len(scanned) == len(GOLDEN_DISTANCES)
     assert all(ran == total for ran, total in scanned)
+
+
+# settings whose true lags the scanned blocks must hold, even where noise or
+# an echo takes the answer far from it; the 2 ms echo has put the true lag
+# farthest outside the coarse candidates' span, 4,446 lags in 200 draws
+COVERED_SETTINGS = {
+    "noiseless": [],
+    "noise-0.1": ["channel.noise_std=0.1"],
+    "interpolated": ["channel.interpolate_delays=true"],
+    "echo-0.5ms": ["channel.multipath=[[0.0005, 0.5]]"],
+    "echo-2ms": ["channel.multipath=[[0.002, 0.5]]", "channel.noise_std=0.05"],
+    "capture-0.5ms": ["timeline.capture_duration_s=0.0005",
+                      "channel.noise_std=0.05"],
+}
+
+
+@pytest.mark.parametrize("setting", list(COVERED_SETTINGS))
+def test_scan_covers_the_true_lag(monkeypatch, setting):
+    coarse_blocks = signals._coarse_blocks
+    scanned = []
+
+    def recording(matched, rf_low):
+        blocks = coarse_blocks(matched, rf_low)
+        scanned.append((len(blocks), blocks.start * matched.step,
+                        min(blocks.stop * matched.step, matched.lags) - 1))
+        return blocks
+
+    monkeypatch.setattr(signals, "_coarse_blocks", recording)
+    sets = COVERED_SETTINGS[setting]
+    cfg = load_config(sets=sets)
+    distances = np.random.default_rng(12345).uniform(0.5, 6.0, 16)
+    for i, d in enumerate(distances.tolist()):
+        channel = cfg.channel_at(d, seed_offset=1000 + i)
+        simulate_ranging(cfg.chirp, channel, cfg.timeline,
+                         mode="one-bit-backscatter", fsk=cfg.fsk,
+                         threshold=cfg.comparator_threshold)
+        true = round((cfg.timeline.wakeup_delay - channel.delay)
+                     * cfg.fsk.sample_rate)
+        _, first, last = scanned[-1]
+        assert first <= true <= last
+    if not sets:
+        # 1.77 blocks over 200 draws; 2.97 with 2 ms of lag around the
+        # coarse lag alone
+        assert np.mean([ran for ran, _, _ in scanned]) < 2.2
 
 
 def test_no_scan_thread_outlives_the_call():
